@@ -3,6 +3,12 @@
 Everything is a 2-D numpy array wrapped in a Var that lives on a Tape.
 Ops record a backward closure; Tape.backward replays them in reverse
 recording order. Single-threaded per tape by design.
+
+A forward pass computes values only. Gradient buffers are allocated by
+Tape.backward, and work that only the gradient needs (argmax routing, ReLU
+masks, softmax probabilities) runs inside the backward closures, so a tape
+that is never replayed costs no more than its forward values. Until
+backward runs, every Var.grad is None.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ def _fault(op_name: str, g: np.ndarray) -> np.ndarray:
 
 
 class Var:
-    """A matrix value plus its gradient slot on a tape."""
+    """A matrix value plus its gradient slot on a tape (None until backward)."""
 
     __slots__ = ("value", "grad", "tape", "_backward")
 
@@ -41,7 +47,7 @@ class Var:
         if value.ndim != 2:
             raise ShapeError(f"Var must be 2-D, got shape {value.shape}")
         self.value = value
-        self.grad = np.zeros_like(value)
+        self.grad = None
         self.tape = tape
         self._backward = backward
         tape._nodes.append(self)
@@ -85,7 +91,7 @@ class Tape:
         if loss.value.size != 1:
             raise ShapeError("backward requires a scalar loss")
         for node in self._nodes:
-            node.grad[...] = 0.0
+            node.grad = np.zeros(node.value.shape)
         loss.grad[...] = 1.0
         for node in reversed(self._nodes):
             if node._backward is not None:
@@ -184,10 +190,9 @@ def add(a: Var, b: Var) -> Var:
 
 def relu(a: Var) -> Var:
     out = Var(a.tape, np.maximum(a.value, 0.0))
-    mask = a.value > 0.0
 
     def bw():
-        a.grad += _fault("relu", out.grad) * mask
+        a.grad += _fault("relu", out.grad) * (a.value > 0.0)
 
     out._backward = bw
     return out
@@ -203,20 +208,6 @@ def emul(a: Var, b: Var) -> Var:
         g = _fault("emul", out.grad)
         a.grad += g * b.value
         b.grad += g * a.value
-
-    out._backward = bw
-    return out
-
-
-def scale_rows(a: Var, weights: np.ndarray) -> Var:
-    """Scale row i by constant weights[i]; weights carry no gradient."""
-    w = np.asarray(weights, dtype=np.float64).reshape(-1)
-    if w.shape[0] != a.shape[0]:
-        raise ShapeError(f"scale_rows: {w.shape[0]} weights for {a.shape[0]} rows")
-    out = Var(a.tape, a.value * w[:, None])
-
-    def bw():
-        a.grad += _fault("scale_rows", out.grad) * w[:, None]
 
     out._backward = bw
     return out
@@ -248,13 +239,13 @@ def maxpool_segments(a: Var, n_segments: int) -> Var:
         raise ShapeError(f"{rows} rows not divisible into {n_segments} segments")
     seg = rows // n_segments
     v = a.value.reshape(n_segments, seg, cols)
-    idx = np.argmax(v, axis=1)  # (n_segments, cols)
-    out = Var(a.tape, np.take_along_axis(v, idx[:, None, :], axis=1)[:, 0, :])
-    row_idx = idx + seg * np.arange(n_segments)[:, None]
-    col_idx = np.broadcast_to(np.arange(cols), (n_segments, cols))
+    out = Var(a.tape, v.max(axis=1))
 
     def bw():
         g = _fault("maxpool_segments", out.grad)
+        idx = np.argmax(v, axis=1)  # (n_segments, cols)
+        row_idx = idx + seg * np.arange(n_segments)[:, None]
+        col_idx = np.broadcast_to(np.arange(cols), (n_segments, cols))
         np.add.at(a.grad, (row_idx.ravel(), col_idx.ravel()), g.ravel())
 
     out._backward = bw
@@ -282,22 +273,6 @@ def slice_rows(a: Var, start: int, stop: int) -> Var:
 
     def bw():
         a.grad[start:stop] += _fault("slice_rows", out.grad)
-
-    out._backward = bw
-    return out
-
-
-def stack_rows(rows: list[Var]) -> Var:
-    tape = _same_tape(*rows)
-    for r in rows:
-        if r.shape[0] != 1 or r.shape[1] != rows[0].shape[1]:
-            raise ShapeError("stack_rows expects (1, d) rows of equal width")
-    out = Var(tape, np.concatenate([r.value for r in rows], axis=0))
-
-    def bw():
-        g = _fault("stack_rows", out.grad)
-        for i, r in enumerate(rows):
-            r.grad += g[i:i + 1]
 
     out._backward = bw
     return out
@@ -373,13 +348,12 @@ def softmax_xent_rows(sims: Var, tau: float) -> Var:
     m = z.max(axis=1, keepdims=True)
     e = np.exp(z - m)
     s = e.sum(axis=1, keepdims=True)
-    p = e / s
     losses = -(np.diag(z)[:, None] - m - np.log(s))
     out = Var(sims.tape, losses)
 
     def bw():
         g = _fault("softmax_xent_rows", out.grad)
-        d = p - np.eye(b)
+        d = e / s - np.eye(b)
         sims.grad += g * d / tau
 
     out._backward = bw

@@ -2,7 +2,8 @@
 
 Exit codes are a stable contract:
     0 success, 1 usage/config error, 2 I/O error,
-    3 data validation error, 4 numerical failure.
+    3 data validation error, 4 numerical failure (including degenerate
+    input such as a zero-norm embedding).
 All outputs are written atomically (temp file + rename) so a failing
 command never leaves a partial artifact behind.
 """
@@ -24,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from . import fusion
 from .config import RunConfig, load_run_config
-from .errors import ConfigError, DataFormatError, NumericalError
+from .errors import ConfigError, DataFormatError, DegenerateInputError, NumericalError
 from .storage import read_dataset, write_dataset, write_weights
 from .synth import generate_dataset
 from .trainer import (ABLATION_VARIANTS, TrainConfig, forward_batch, init_params,
@@ -286,7 +287,7 @@ def main(argv: list[str] | None = None) -> int:
     except DataFormatError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except NumericalError as exc:
+    except (NumericalError, DegenerateInputError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (OSError, FileNotFoundError) as exc:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_seed_and_floats
 
 TRUTH_CLEAN = "clean"
 TRUTH_MISMATCHED = "mismatched"
@@ -41,6 +41,7 @@ class DatasetSpec:
     seed: int = 0
 
     def validate(self) -> None:
+        check_seed_and_floats(self)
         if min(self.num_concepts, self.dim, self.text_tokens,
                self.image_patches, self.num_triplets) < 1:
             raise ConfigError("all dataset counts must be >= 1")

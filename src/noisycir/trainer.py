@@ -17,7 +17,7 @@ import numpy as np
 
 from . import fusion, nfb
 from .autodiff import ParamStore, Tape, Var, add, masked_mean, slice_rows
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, check_seed_and_floats
 from .evaluation import (FilterScore, cosine_similarity_matrix, evaluate_filter,
                          recall_from_similarity)
 from .synth import TripletSample
@@ -45,6 +45,7 @@ class TrainConfig:
     eval_fraction: float = 0.2
 
     def validate(self) -> None:
+        check_seed_and_floats(self)
         if self.batch_size < 4:
             raise ConfigError("batch_size must be >= 4")
         if self.epochs < 0:

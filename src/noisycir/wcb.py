@@ -8,72 +8,34 @@ own MLP; the reference and target images share the image MLP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore, Tape, Var
 from .errors import ShapeError
-from .synth import TokenBundle, TripletSample
+from .synth import TokenBundle
 
 TEXT_MLP = "wcb_text"
 IMAGE_MLP = "wcb_image"
 
 
-@dataclass
-class CompensatedEmbedding:
-    vector: Var            # (1, d)
-    modality: str
-    source: str            # which bundle it came from
-
-
-def weight_relocate(bundle: TokenBundle) -> np.ndarray:
-    """Row i of the result is attention[i] * tokens[i]."""
-    return bundle.attention[:, None] * bundle.tokens
-
-
-def wcb_fuse(tape: Tape, store: ParamStore, name: str,
-             weighted_nonglobal: np.ndarray, global_token: np.ndarray) -> Var:
-    """Max-pool the MLP of the weighted non-global rows, add the global token."""
-    d = global_token.shape[-1]
-    if weighted_nonglobal.shape[1] != d:
-        raise ShapeError(
-            f"wcb_fuse: token width {weighted_nonglobal.shape[1]} != {d}")
-    x = tape.const(weighted_nonglobal)
-    pooled = ad.maxpool_rows(ad.mlp_forward(x, store, name))
-    return ad.add(pooled, tape.const(global_token.reshape(1, d)))
-
-
-def compensate_bundle(tape: Tape, store: ParamStore,
-                      bundle: TokenBundle) -> CompensatedEmbedding:
-    weighted = weight_relocate(bundle)
-    nonglobal = np.delete(weighted, bundle.global_index, axis=0)
-    name = TEXT_MLP if bundle.modality == "text" else IMAGE_MLP
-    vec = wcb_fuse(tape, store, name, nonglobal, bundle.global_token())
-    return CompensatedEmbedding(vector=vec, modality=bundle.modality, source=name)
-
-
-def compensate_all(tape: Tape, store: ParamStore,
-                   sample: TripletSample) -> tuple[Var, Var, Var]:
-    """Compensated (text, reference image, target image) embeddings."""
-    t = compensate_bundle(tape, store, sample.mod_text)
-    r = compensate_bundle(tape, store, sample.ref_image)
-    g = compensate_bundle(tape, store, sample.tar_image)
-    return t.vector, r.vector, g.vector
-
-
 def compensate_batch(tape: Tape, store: ParamStore, bundles: list[TokenBundle],
                      name: str) -> Var:
-    """Vectorized compensate over equal-shape bundles; returns (B, d).
+    """Compensate B equal-shape bundles that share a global_index; returns (B, d).
 
-    Equivalent to stacking compensate_bundle outputs, but runs the MLP once
-    over all non-global rows and pools per segment.
+    The batch is stacked once: one broadcast multiply weights every token by
+    its attention, one delete drops the shared global row, the MLP runs over
+    all remaining rows and the max-pool works per bundle.
     """
-    rows = [np.delete(weight_relocate(b), b.global_index, axis=0) for b in bundles]
-    if any(r.shape != rows[0].shape for r in rows):
-        raise ShapeError("compensate_batch requires equal-shape bundles")
-    x = tape.const(np.concatenate(rows, axis=0))
+    first = bundles[0]
+    if any(b.global_index != first.global_index
+           or b.tokens.shape != first.tokens.shape
+           or b.attention.shape != first.attention.shape for b in bundles):
+        raise ShapeError(
+            "compensate_batch requires equal-shape bundles with one global_index")
+    tokens = np.stack([b.tokens for b in bundles])          # (B, L, d)
+    attention = np.stack([b.attention for b in bundles])    # (B, L)
+    weighted = np.delete(attention[:, :, None] * tokens, first.global_index, axis=1)
+    x = tape.const(weighted.reshape(-1, tokens.shape[2]))
     pooled = ad.maxpool_segments(ad.mlp_forward(x, store, name), len(bundles))
-    globals_ = np.stack([b.global_token() for b in bundles])
-    return ad.add(pooled, tape.const(globals_))
+    return ad.add(pooled, tape.const(tokens[:, first.global_index]))

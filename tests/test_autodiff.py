@@ -213,6 +213,14 @@ class TestMaxpoolRows:
         rows = [ad.maxpool_rows(tape.const(x[i * 4:(i + 1) * 4])) for i in range(3)]
         assert np.array_equal(seg.value, np.concatenate([r.value for r in rows]))
 
+    def test_segments_tie_routes_to_lowest_row(self):
+        tape = Tape()
+        x = tape.const([[2.0, 1.0], [2.0, 0.0], [0.0, 4.0], [3.0, 4.0]])
+        out = ad.maxpool_segments(x, 2)
+        assert out.value.tolist() == [[2.0, 1.0], [3.0, 4.0]]
+        tape.backward(ad.vsum(out))
+        assert x.grad.tolist() == [[1.0, 1.0], [0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
+
 
 class TestGradCheck:
     def test_quadratic_closed_form(self):
@@ -321,3 +329,35 @@ class TestProperties:
         g1 = x.grad.copy()
         tape.backward(loss)
         assert np.array_equal(x.grad, g1)  # not doubled
+
+
+def _every_op_loss(tape, store):
+    """A scalar loss that passes through every op the training step records."""
+    x = tape.const(np.random.default_rng(14).uniform(-1, 1, (8, 4)))
+    pooled = ad.maxpool_segments(ad.mlp_forward(x, store, "m"), 4)
+    q = ad.concat_cols(ad.slice_rows(pooled, 0, 2), ad.slice_rows(pooled, 2, 4))
+    t = ad.concat_cols(ad.slice_rows(pooled, 2, 4), ad.slice_rows(pooled, 0, 2))
+    losses = ad.softmax_xent_rows(ad.cosine_matrix(q, t), 0.5)
+    return ad.masked_mean(losses, np.array([1.0, 0.5]))
+
+
+class TestLeanTape:
+    def _store(self):
+        store = ParamStore()
+        store.init_mlp("m", 4, 5, 4, np.random.default_rng(15))
+        return store
+
+    def test_tape_never_replayed_allocates_no_gradients(self):
+        tape = Tape()
+        _every_op_loss(tape, self._store())
+        assert tape._nodes
+        assert all(node.grad is None for node in tape._nodes)
+
+    def test_backward_gives_every_node_a_gradient_of_its_shape(self):
+        tape = Tape()
+        loss = _every_op_loss(tape, self._store())
+        tape.backward(loss)
+        for node in tape._nodes:
+            assert node.grad is not None
+            assert node.grad.shape == node.value.shape
+        assert loss.grad.tolist() == [[1.0]]

@@ -65,6 +65,21 @@ class TestGenerate:
         assert main(["generate", "--config", config_path]) == EXIT_USAGE
         capsys.readouterr()
 
+    def test_negative_seed_exits_1(self, config_path, tmp_path, capsys):
+        out = tmp_path / "d.ncld"
+        assert main(["generate", "--config", config_path, "--out", str(out),
+                     "--seed", "-1"]) == EXIT_USAGE
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_learning_rate_exits_1(self, tmp_path, dataset_path, capsys):
+        cfg = tmp_path / "nan.json"
+        cfg.write_text(json.dumps({"dataset": SMALL["dataset"],
+                                   "train": {**SMALL["train"], "lr_wcb": float("nan")}}))
+        assert main(["train", "--config", str(cfg), "--dataset", dataset_path,
+                     "--out", str(tmp_path / "run")]) == EXIT_USAGE
+        assert "lr_wcb" in capsys.readouterr().err
+
     def test_seed_override_changes_output(self, config_path, tmp_path):
         a, b, c = (tmp_path / n for n in ("a.ncld", "b.ncld", "c.ncld"))
         main(["generate", "--config", config_path, "--out", str(a)])
@@ -160,6 +175,13 @@ class TestGradcheck:
         assert "fault injected in op matmul" in out
         # worst offender should be reported so failures are actionable
         assert "worst parameter" in out
+
+    @pytest.mark.parametrize("seed", ["2", "5"])
+    def test_degenerate_input_exits_4_without_traceback(self, seed, capsys):
+        assert main(["gradcheck", "--seed", seed]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ")
+        assert err.count("\n") == 1
 
     def test_fault_hook_resets_after_run(self, capsys):
         main(["gradcheck", "--inject-fault", "matmul"])

@@ -120,3 +120,13 @@ class TestSpecValidation:
     def test_distractors_cannot_consume_all_patches(self):
         with pytest.raises(ConfigError):
             DatasetSpec(distractor_fraction=0.99).validate()
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_seed_must_be_non_negative_int(self, seed):
+        with pytest.raises(ConfigError):
+            DatasetSpec(seed=seed).validate()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_noise_scale_must_be_finite(self, value):
+        with pytest.raises(ConfigError):
+            DatasetSpec(noise_scale=value).validate()

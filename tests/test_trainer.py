@@ -29,6 +29,12 @@ class TestConfigValidation:
         {"filter_scope": "dataset"},
         {"warmup_epochs": 0},
         {"eval_fraction": 0.0},
+        {"seed": -1},
+        {"seed": 2.0},
+        {"seed": False},
+        {"lr_wcb": float("nan")},
+        {"lr_other": float("inf")},
+        {"adam_eps": float("nan")},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):

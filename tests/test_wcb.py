@@ -1,13 +1,63 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from noisycir import autodiff as ad
-from noisycir.autodiff import ParamStore, Tape
-from noisycir.synth import DatasetSpec, TokenBundle, generate_dataset, make_concepts
+from noisycir.autodiff import ParamStore, Tape, Var
+from noisycir.errors import ShapeError
+from noisycir.synth import DatasetSpec, TokenBundle, TripletSample, generate_dataset
 from noisycir.trainer import init_params
-from noisycir.wcb import (IMAGE_MLP, TEXT_MLP, compensate_all, compensate_batch,
-                          compensate_bundle, wcb_fuse, weight_relocate)
+from noisycir.wcb import IMAGE_MLP, TEXT_MLP, compensate_batch
 from tests.test_autodiff import assert_grads_match
+
+# ---------------------------------------------------------------------------
+# per-sample reference path: one bundle at a time, the test oracle for the
+# batched compensate_batch
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class CompensatedEmbedding:
+    vector: Var            # (1, d)
+    modality: str
+    source: str            # which bundle it came from
+
+
+def weight_relocate(bundle: TokenBundle) -> np.ndarray:
+    """Row i of the result is attention[i] * tokens[i]."""
+    return bundle.attention[:, None] * bundle.tokens
+
+
+def wcb_fuse(tape: Tape, store: ParamStore, name: str,
+             weighted_nonglobal: np.ndarray, global_token: np.ndarray) -> Var:
+    """Max-pool the MLP of the weighted non-global rows, add the global token."""
+    d = global_token.shape[-1]
+    if weighted_nonglobal.shape[1] != d:
+        raise ShapeError(
+            f"wcb_fuse: token width {weighted_nonglobal.shape[1]} != {d}")
+    x = tape.const(weighted_nonglobal)
+    pooled = ad.maxpool_rows(ad.mlp_forward(x, store, name))
+    return ad.add(pooled, tape.const(global_token.reshape(1, d)))
+
+
+def compensate_bundle(tape: Tape, store: ParamStore,
+                      bundle: TokenBundle) -> CompensatedEmbedding:
+    weighted = weight_relocate(bundle)
+    nonglobal = np.delete(weighted, bundle.global_index, axis=0)
+    name = TEXT_MLP if bundle.modality == "text" else IMAGE_MLP
+    vec = wcb_fuse(tape, store, name, nonglobal, bundle.global_token())
+    return CompensatedEmbedding(vector=vec, modality=bundle.modality, source=name)
+
+
+def compensate_all(tape: Tape, store: ParamStore,
+                   sample: TripletSample) -> tuple[Var, Var, Var]:
+    """Compensated (text, reference image, target image) embeddings."""
+    t = compensate_bundle(tape, store, sample.mod_text)
+    r = compensate_bundle(tape, store, sample.ref_image)
+    g = compensate_bundle(tape, store, sample.tar_image)
+    return t.vector, r.vector, g.vector
+
 
 SPEC = DatasetSpec(num_concepts=6, dim=8, text_tokens=4, image_patches=6,
                    num_triplets=8, seed=2)
@@ -150,6 +200,38 @@ class TestCompensateAll:
         for i, s in enumerate(samples):
             single = compensate_bundle(tape, store, s.ref_image).vector
             assert np.allclose(batch.value[i], single.value[0], atol=1e-12)
+
+    @pytest.mark.parametrize("modality", ["text", "image"])
+    def test_batch_path_equals_per_sample_oracle_exactly(self, modality):
+        samples = generate_dataset(SPEC)
+        store = init_params(SPEC.dim, 1)
+        if modality == "text":
+            bundles, name = [s.mod_text for s in samples], TEXT_MLP
+        else:
+            bundles = [s.ref_image for s in samples] + [s.tar_image for s in samples]
+            name = IMAGE_MLP
+        tape = Tape()
+        batch = compensate_batch(tape, store, bundles, name).value
+        oracle = np.concatenate(
+            [compensate_bundle(tape, store, b).vector.value for b in bundles])
+        assert np.array_equal(batch, oracle)
+
+    def test_batch_rejects_mixed_global_index(self):
+        samples = generate_dataset(SPEC)
+        store = init_params(SPEC.dim, 1)
+        a = samples[0].ref_image
+        b = samples[1].ref_image
+        moved = TokenBundle(b.tokens, b.attention, 1, b.modality)
+        with pytest.raises(ShapeError):
+            compensate_batch(Tape(), store, [a, moved], IMAGE_MLP)
+
+    def test_batch_rejects_mixed_shapes(self):
+        samples = generate_dataset(SPEC)
+        store = init_params(SPEC.dim, 1)
+        b = samples[1].ref_image
+        short = TokenBundle(b.tokens[:-1], b.attention[:-1], 0, b.modality)
+        with pytest.raises(ShapeError):
+            compensate_batch(Tape(), store, [samples[0].ref_image, short], IMAGE_MLP)
 
     def test_high_attention_token_dominates_sensitivity(self):
         # perturbing a high-attention token must move the output more, on

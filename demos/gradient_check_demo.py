@@ -46,7 +46,9 @@ def main():
     print(f"max relative error: {bad.max_rel_error:.3e} "
           f"(worst parameter: {bad.worst_param})")
     print(f"passed: {bad.passed}  <- the checker catches the planted bug")
+    # exit status 0 only if the clean check passes and the planted bug is caught
+    return 0 if report.passed and not bad.passed else 1
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -9,6 +9,14 @@ Tape.backward, and work that only the gradient needs (argmax routing, ReLU
 masks, softmax probabilities) runs inside the backward closures, so a tape
 that is never replayed costs no more than its forward values. Until
 backward runs, every Var.grad is None.
+
+mlp_forward records a two-layer perceptron as one fused node: a single
+closure back-propagates through both layers and the ReLU, so the hidden
+activations get no tape nodes or gradient buffers of their own.
+
+A ParamStore keeps all parameters in one contiguous buffer and all
+gradients in another; params[name] and grads[name] are reshaped views into
+them, so zeroing the gradients and an optimizer update each touch one array.
 """
 
 from __future__ import annotations
@@ -104,19 +112,37 @@ class Tape:
 
 
 class ParamStore:
-    """Named trainable matrices with gradient accumulators and group tags."""
+    """Named trainable matrices with gradient accumulators and group tags.
+
+    Parameters live in one contiguous buffer, flat_params, and gradients in
+    flat_grads; params[name] and grads[name] are views into them. Adding a
+    parameter rebuilds both buffers and every view, so arrays taken out of
+    the store before its last add no longer alias it.
+    """
 
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
         self.groups: dict[str, str] = {}
+        self.slices: dict[str, slice] = {}
+        self.flat_params = np.zeros(0)
+        self.flat_grads = np.zeros(0)
 
     def add(self, name: str, value: np.ndarray, group: str = "other") -> None:
         value = np.ascontiguousarray(value, dtype=np.float64)
         if value.ndim != 2:
             raise ShapeError(f"parameter {name} must be 2-D")
-        self.params[name] = value
-        self.grads[name] = np.zeros_like(value)
+        values = {**self.params, name: value}
+        grads = {**self.grads, name: np.zeros(value.shape)}
+        self.flat_params = np.concatenate([v.reshape(-1) for v in values.values()])
+        self.flat_grads = np.concatenate([grads[n].reshape(-1) for n in values])
+        pos = 0
+        for n, v in values.items():
+            sl = slice(pos, pos + v.size)
+            self.slices[n] = sl
+            self.params[n] = self.flat_params[sl].reshape(v.shape)
+            self.grads[n] = self.flat_grads[sl].reshape(v.shape)
+            pos += v.size
         self.groups[name] = group
 
     def init_mlp(self, name: str, in_dim: int, hidden: int, out_dim: int,
@@ -131,8 +157,7 @@ class ParamStore:
         self.add(f"{name}.b2", np.zeros((1, out_dim)), group)
 
     def zero_grads(self) -> None:
-        for g in self.grads.values():
-            g[...] = 0.0
+        self.flat_grads.fill(0.0)
 
     def names(self) -> list[str]:
         return list(self.params.keys())
@@ -245,8 +270,8 @@ def maxpool_segments(a: Var, n_segments: int) -> Var:
         g = _fault("maxpool_segments", out.grad)
         idx = np.argmax(v, axis=1)  # (n_segments, cols)
         row_idx = idx + seg * np.arange(n_segments)[:, None]
-        col_idx = np.broadcast_to(np.arange(cols), (n_segments, cols))
-        np.add.at(a.grad, (row_idx.ravel(), col_idx.ravel()), g.ravel())
+        # Each (row, column) pair occurs once, so a plain scatter-add suffices.
+        a.grad[row_idx, np.arange(cols)] += g
 
     out._backward = bw
     return out
@@ -377,7 +402,12 @@ def masked_mean(v: Var, weights: np.ndarray) -> Var:
 
 
 def mlp_forward(x: Var, store: ParamStore, name: str) -> Var:
-    """Two-layer perceptron: linear -> ReLU -> linear, parameters from store."""
+    """Two-layer perceptron: linear -> ReLU -> linear, parameters from store.
+
+    Recorded as one tape node. Its backward applies the fault hooks of the
+    add, matmul and relu ops it stands for, in the order the composed ops
+    would run them.
+    """
     if f"{name}.W1" not in store.params:
         raise KeyError(f"unknown MLP name {name!r}")
     w1 = x.tape.param(store, f"{name}.W1")
@@ -386,8 +416,25 @@ def mlp_forward(x: Var, store: ParamStore, name: str) -> Var:
     b2 = x.tape.param(store, f"{name}.b2")
     if x.shape[1] != w1.shape[0]:
         raise ShapeError(f"MLP {name}: input width {x.shape[1]} != {w1.shape[0]}")
-    h = relu(add(matmul(x, w1), b1))
-    return add(matmul(h, w2), b2)
+    pre = x.value @ w1.value + b1.value
+    h = np.maximum(pre, 0.0)
+    out = Var(x.tape, h @ w2.value + b2.value)
+
+    def bw():
+        g = _fault("add", out.grad)
+        b2.grad += g.sum(axis=0, keepdims=True)
+        g = _fault("matmul", g)
+        dh = g @ w2.value.T
+        w2.grad += h.T @ g
+        g = _fault("relu", dh) * (pre > 0.0)
+        g = _fault("add", g)
+        b1.grad += g.sum(axis=0, keepdims=True)
+        g = _fault("matmul", g)
+        x.grad += g @ w1.value.T
+        w1.grad += x.value.T @ g
+
+    out._backward = bw
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ import io
 import json
 import os
 import sys
-import tempfile
 import time
 from collections import Counter
 
@@ -26,7 +25,7 @@ from . import autodiff as ad
 from . import fusion
 from .config import RunConfig, load_run_config
 from .errors import ConfigError, DataFormatError, DegenerateInputError, NumericalError
-from .storage import read_dataset, write_dataset, write_weights
+from .storage import _atomic_write, read_dataset, write_dataset, write_weights
 from .synth import generate_dataset
 from .trainer import (ABLATION_VARIANTS, TrainConfig, forward_batch, init_params,
                       run_ablation, run_training)
@@ -39,16 +38,7 @@ EXIT_NUMERIC = 4
 
 
 def _atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_write(path, text.encode("utf-8"))
 
 
 def _csv(rows: list[dict], columns: list[str]) -> str:

@@ -3,8 +3,8 @@
 A query is the MLP of the concatenated text and reference-image embeddings,
 one fusion MLP per view (plain global tokens vs weight-compensated). The
 per-sample loss is temperature-scaled softmax cross-entropy over in-batch
-cosine similarities, and the training objective is the label-masked mean of
-the two views' loss vectors.
+cosine similarities, and the training objective (masked_loss) is the sum of
+the label-masked means of the enabled views' loss vectors.
 """
 
 from __future__ import annotations
@@ -52,6 +52,13 @@ def soft_nce_loss(queries: Var, targets: Var, queries_wcb: Var, targets_wcb: Var
     b = queries.shape[0]
     if labels.shape[0] != b:
         raise ShapeError(f"{labels.shape[0]} labels for batch of {b}")
-    l_main = nce_per_sample(queries, targets, tau)
-    l_wcb = nce_per_sample(queries_wcb, targets_wcb, tau)
-    return ad.add(ad.masked_mean(l_main, labels), ad.masked_mean(l_wcb, labels))
+    return masked_loss([nce_per_sample(queries, targets, tau),
+                        nce_per_sample(queries_wcb, targets_wcb, tau)], labels)
+
+
+def masked_loss(loss_vectors: list[Var], labels: np.ndarray) -> Var:
+    """Sum over views of the label-masked mean of each per-sample loss column."""
+    total = ad.masked_mean(loss_vectors[0], labels)
+    for lv in loss_vectors[1:]:
+        total = ad.add(total, ad.masked_mean(lv, labels))
+    return total

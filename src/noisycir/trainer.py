@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fusion, nfb
-from .autodiff import ParamStore, Tape, Var, add, masked_mean, slice_rows
+from .autodiff import ParamStore, Tape, Var, slice_rows
 from .errors import ConfigError, NumericalError, check_seed_and_floats
 from .evaluation import (FilterScore, cosine_similarity_matrix, evaluate_filter,
                          recall_from_similarity)
@@ -103,7 +103,11 @@ class TrainResult:
 
 
 class Adam:
-    """Adam with a per-group learning rate (WCB parameters vs the rest)."""
+    """Adam with a per-group learning rate (WCB parameters vs the rest).
+
+    The moments and the learning rates are flat vectors aligned with the
+    store's flat parameter buffer, so one step is one vectorised update.
+    """
 
     def __init__(self, store: ParamStore, lr_by_group: dict[str, float],
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -111,20 +115,28 @@ class Adam:
         self.lr_by_group = lr_by_group
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in store.params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in store.params.items()}
+        self.m = np.zeros_like(store.flat_params)
+        self.v = np.zeros_like(store.flat_params)
+        self.lr = np.empty_like(store.flat_params)
+        for name, sl in store.slices.items():
+            self.lr[sl] = lr_by_group[store.groups[name]]
 
     def step(self) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for name, p in self.store.params.items():
-            g = self.store.grads[name]
-            self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            mhat = self.m[name] / (1 - b1 ** self.t)
-            vhat = self.v[name] / (1 - b2 ** self.t)
-            lr = self.lr_by_group[self.store.groups[name]]
-            p -= lr * mhat / (np.sqrt(vhat) + self.eps)
+        g = self.store.flat_grads
+        self.m *= b1
+        self.m += (1 - b1) * g
+        self.v *= b2
+        self.v += (1 - b2) * g * g
+        mhat = self.m / (1 - b1 ** self.t)
+        vhat = self.v / (1 - b2 ** self.t)
+        # p -= lr * mhat / (sqrt(vhat) + eps), evaluated in place in that order
+        mhat *= self.lr
+        np.sqrt(vhat, out=vhat)
+        vhat += self.eps
+        mhat /= vhat
+        self.store.flat_params -= mhat
         self.store.zero_grads()
 
 
@@ -175,13 +187,6 @@ def forward_batch(tape: Tape, store: ParamStore, samples: list[TripletSample],
 
 def _loss_vectors(views: BatchViews, tau: float) -> list[Var]:
     return [fusion.nce_per_sample(q, t, tau) for q, t in views.pairs()]
-
-
-def _masked_loss(loss_vectors: list[Var], labels: np.ndarray) -> Var:
-    total = masked_mean(loss_vectors[0], labels)
-    for lv in loss_vectors[1:]:
-        total = add(total, masked_mean(lv, labels))
-    return total
 
 
 def split_dataset(samples: list[TripletSample],
@@ -296,7 +301,7 @@ def train_epoch(store: ParamStore, optimizer: Adam, samples: list[TripletSample]
                 epoch_labels[int(i)] = float(lab)
             gmms = (gmm_main, gmm_wcb)
             sets_counts += (len(sets.s_m), len(sets.s_u), len(sets.s_p))
-        loss = _masked_loss(vecs, labels)
+        loss = fusion.masked_loss(vecs, labels)
         if not np.isfinite(loss.value).all():
             raise NumericalError(
                 f"non-finite loss at epoch {epoch} batch {batch_no}; "

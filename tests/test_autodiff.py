@@ -4,6 +4,7 @@ import pytest
 from noisycir import autodiff as ad
 from noisycir.autodiff import ParamStore, Tape
 from noisycir.errors import DegenerateInputError, ShapeError
+from noisycir.storage import read_weights, write_weights
 
 
 def numeric_grad(f, store, name, step=1e-6):
@@ -361,3 +362,116 @@ class TestLeanTape:
             assert node.grad is not None
             assert node.grad.shape == node.value.shape
         assert loss.grad.tolist() == [[1.0]]
+
+
+def composed_mlp(x, store, name):
+    """Reference MLP recorded op by op: matmul -> add -> relu -> matmul -> add."""
+    tape = x.tape
+    h = ad.relu(ad.add(ad.matmul(x, tape.param(store, f"{name}.W1")),
+                       tape.param(store, f"{name}.b1")))
+    return ad.add(ad.matmul(h, tape.param(store, f"{name}.W2")),
+                  tape.param(store, f"{name}.b2"))
+
+
+def _mlp_case():
+    """An MLP and an input whose pre-activations are exactly zero in places:
+    row 0 of the input and column 2 of W1 are zero, and so is b1."""
+    rng = np.random.default_rng(16)
+    store = ParamStore()
+    store.init_mlp("m", 5, 6, 4, rng)
+    store.params["m.W1"][:, 2] = 0.0
+    x = rng.uniform(-1, 1, (7, 5))
+    x[0] = 0.0
+    return store, x, rng.uniform(-1, 1, (7, 4))
+
+
+def _mlp_value_and_grads(mlp, store, x, weights):
+    store.zero_grads()
+    tape = Tape()
+    xv = tape.const(x)
+    out = mlp(ad.relu(xv), store, "m")
+    tape.backward(ad.vsum(ad.emul(out, tape.const(weights))))
+    tape.accumulate_grads()
+    return out.value, xv.grad, {k: v.copy() for k, v in store.grads.items()}
+
+
+class TestFusedMlp:
+    @pytest.mark.parametrize("fault", [None, "add", "matmul", "relu"])
+    def test_equals_composed_oracle_exactly(self, fault):
+        store, x, weights = _mlp_case()
+        ad.set_backward_fault(fault)
+        try:
+            fused = _mlp_value_and_grads(ad.mlp_forward, store, x, weights)
+            composed = _mlp_value_and_grads(composed_mlp, store, x, weights)
+        finally:
+            ad.set_backward_fault(None)
+        pre = np.maximum(x, 0.0) @ store.params["m.W1"] + store.params["m.b1"]
+        assert (pre == 0.0).any() and (pre > 0.0).any()
+        assert np.array_equal(fused[0], composed[0])
+        assert np.array_equal(fused[1], composed[1])
+        assert fused[2].keys() == {"m.W1", "m.b1", "m.W2", "m.b2"}
+        for name, grad in composed[2].items():
+            assert np.array_equal(fused[2][name], grad), name
+
+    def test_records_one_node_besides_its_parameters(self):
+        store, x, _ = _mlp_case()
+        tape = Tape()
+        ad.mlp_forward(tape.const(x), store, "m")
+        assert len(tape._nodes) == 1 + 4 + 1  # input, W1 b1 W2 b2, output
+
+
+class TestMaxpoolSegmentsScatter:
+    def test_gradient_equals_add_at_reference(self):
+        rng = np.random.default_rng(17)
+        x = rng.integers(-2, 3, (12, 5)).astype(float)  # small ints: many ties
+        upstream = rng.uniform(-1, 1, (3, 5))
+        tape = Tape()
+        xv = tape.const(x)
+        out = ad.maxpool_segments(xv, 3)
+        tape.backward(ad.vsum(ad.emul(out, tape.const(upstream))))
+
+        expect = np.zeros_like(x)
+        for s in range(3):
+            rows = 4 * s + np.argmax(x[4 * s:4 * s + 4], axis=0)
+            np.add.at(expect, (rows, np.arange(5)), upstream[s])
+        assert np.array_equal(xv.grad, expect)
+
+
+class TestFlatParamStore:
+    @staticmethod
+    def _assert_views(store):
+        assert store.flat_params.size == sum(p.size for p in store.params.values())
+        for name in store.names():
+            assert np.shares_memory(store.params[name], store.flat_params), name
+            assert np.shares_memory(store.grads[name], store.flat_grads), name
+            sl = store.slices[name]
+            assert np.array_equal(store.flat_params[sl], store.params[name].reshape(-1))
+
+    def test_params_and_grads_are_views_of_the_flat_buffers(self):
+        store = ParamStore()
+        store.init_mlp("a", 3, 4, 2, np.random.default_rng(18), group="wcb")
+        store.init_mlp("b", 2, 2, 2, np.random.default_rng(19))
+        self._assert_views(store)
+        store.grads["a.W2"][...] = 1.0
+        assert store.flat_grads.sum() == store.grads["a.W2"].size
+        store.zero_grads()
+        assert not store.flat_grads.any()
+
+    def test_views_survive_read_weights(self, tmp_path):
+        store = ParamStore()
+        store.init_mlp("a", 3, 4, 2, np.random.default_rng(20), group="wcb")
+        write_weights(store, str(tmp_path / "w.nclw"))
+        loaded = read_weights(str(tmp_path / "w.nclw"))
+        self._assert_views(loaded)
+        assert np.array_equal(loaded.flat_params, store.flat_params)
+
+    def test_re_adding_a_name_keeps_its_position_and_gradient(self):
+        store = ParamStore()
+        store.add("a", np.ones((2, 2)))
+        store.add("b", np.ones((1, 3)))
+        store.grads["a"][...] = 2.0
+        store.add("a", np.zeros((3, 1)))
+        assert store.names() == ["a", "b"]
+        assert store.params["a"].shape == store.grads["a"].shape == (3, 1)
+        assert not store.grads["a"].any()
+        self._assert_views(store)

@@ -4,7 +4,8 @@ import os
 import pytest
 
 from noisycir.cli import (EXIT_DATA, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
-                          EXIT_USAGE, main)
+                          EXIT_USAGE, _atomic_write_text, main)
+from tests.test_storage import rewrite_header
 
 SMALL = {
     "dataset": {"num_concepts": 8, "dim": 16, "text_tokens": 4,
@@ -159,6 +160,49 @@ class TestTrain:
         assert main(["train", "--config", config_path,
                      "--dataset", str(tmp_path / "absent.ncld"),
                      "--out", str(tmp_path / "runY")]) == EXIT_IO
+
+
+def test_text_outputs_are_utf8_bytes_without_newline_translation(tmp_path):
+    path = tmp_path / "out.txt"
+    _atomic_write_text(str(path), "a,\u00e9\r\nb\n")
+    assert path.read_bytes() == "a,\u00e9\r\nb\n".encode("utf-8")
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def _set_byte_12(path):
+    blob = bytearray(path.read_bytes())
+    blob[12] = 0xFF
+    path.write_bytes(bytes(blob))
+
+
+def _header_edit(mutate):
+    return lambda path: rewrite_header(path, mutate)
+
+
+class TestCorruptHeader:
+    """Header corruptions the checksum does not see must still exit 3."""
+
+    @pytest.mark.parametrize("corrupt", [
+        _set_byte_12,
+        _header_edit(lambda h: h.pop("offsets")),
+        _header_edit(lambda h: h["spec"].update(colour="red")),
+        _header_edit(lambda h: h["spec"].update(dim=64)),
+        _header_edit(lambda h: h["offsets"].__setitem__(1, -8)),
+        _header_edit(lambda h: h["spec"].update(dim=16)),
+        _header_edit(lambda h: h["samples"][0].update(truth="weird")),
+    ], ids=["byte-12-0xff", "offsets-removed", "unknown-spec-key", "dim-64",
+            "negative-offset", "dim-16", "unknown-truth"])
+    def test_train_exits_3_without_traceback(self, tmp_path, corrupt, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"dataset": {"num_triplets": 10, "seed": 1}}))
+        data = tmp_path / "data.ncld"
+        assert main(["generate", "--config", str(cfg), "--out", str(data)]) == EXIT_OK
+        corrupt(data)
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--dataset", str(data),
+                     "--out", str(tmp_path / "run")]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert not (tmp_path / "run").exists()
 
 
 class TestGradcheck:

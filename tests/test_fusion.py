@@ -6,8 +6,8 @@ import pytest
 from noisycir import autodiff as ad
 from noisycir.autodiff import ParamStore, Tape
 from noisycir.errors import ConfigError, DegenerateInputError, ShapeError
-from noisycir.fusion import (VIEW_GLOBAL, VIEW_WCB, fuse_query, nce_per_sample,
-                             soft_nce_loss)
+from noisycir.fusion import (VIEW_GLOBAL, VIEW_WCB, fuse_query, masked_loss,
+                             nce_per_sample, soft_nce_loss)
 from noisycir.trainer import init_params
 from tests.test_autodiff import assert_grads_match
 
@@ -221,6 +221,12 @@ class TestSoftNceLoss:
         l1 = nce_per_sample(tape.const(q), tape.const(t), 0.07).value.mean()
         l2 = nce_per_sample(tape.const(qw), tape.const(tw), 0.07).value.mean()
         assert loss.scalar() == pytest.approx(l1 + l2, abs=1e-12)
+
+    def test_masked_loss_single_view_is_its_masked_mean(self):
+        tape = Tape()
+        lv = tape.const(np.array([[1.0], [2.0], [4.0]]))
+        labels = np.array([1.0, 0.5, 0.0])
+        assert masked_loss([lv], labels).scalar() == (1.0 + 1.0) / 3
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(10)

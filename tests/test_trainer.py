@@ -64,7 +64,54 @@ class TestSplit:
         assert a != c
 
 
+class DictAdam:
+    """Reference optimizer: Adam written per named parameter, one
+    dictionary entry of moments each."""
+
+    def __init__(self, store, lr_by_group, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.store = store
+        self.lr_by_group = lr_by_group
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.t = 0
+        self.m = {k: np.zeros_like(v) for k, v in store.params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in store.params.items()}
+
+    def step(self):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        for name, p in self.store.params.items():
+            g = self.store.grads[name]
+            self.m[name] = b1 * self.m[name] + (1 - b1) * g
+            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
+            mhat = self.m[name] / (1 - b1 ** self.t)
+            vhat = self.v[name] / (1 - b2 ** self.t)
+            lr = self.lr_by_group[self.store.groups[name]]
+            p -= lr * mhat / (np.sqrt(vhat) + self.eps)
+        self.store.zero_grads()
+
+
 class TestAdam:
+    def test_flat_steps_equal_per_parameter_oracle_exactly(self):
+        rates = {"wcb": 1e-3, "other": 3e-2}
+        flat_store, ref_store = init_params(6, 2), init_params(6, 2)
+        flat, ref = Adam(flat_store, rates), DictAdam(ref_store, rates)
+        rng = np.random.default_rng(21)
+        for _ in range(5):
+            for name in flat_store.names():
+                g = rng.standard_normal(flat_store.grads[name].shape)
+                g[0, 0] = 0.0
+                flat_store.grads[name][...] = g
+                ref_store.grads[name][...] = g
+            flat.step()
+            ref.step()
+        for name in ref_store.names():
+            sl = flat_store.slices[name]
+            assert np.array_equal(flat_store.params[name], ref_store.params[name]), name
+            assert np.array_equal(flat.m[sl], ref.m[name].reshape(-1)), name
+            assert np.array_equal(flat.v[sl], ref.v[name].reshape(-1)), name
+        assert not flat_store.flat_grads.any()
+        assert {flat_store.groups[k] for k in flat_store.names()} == set(rates)
+
     def test_single_step_matches_hand_formula(self):
         store = init_params(4, 0)
         name = next(iter(store.params))

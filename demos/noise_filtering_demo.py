@@ -3,8 +3,8 @@
 
 Generates a small synthetic dataset with 30% mismatched triplets, trains
 past the warm-up phase, then shows the two-component Gaussian mixture fitted
-to the normalized per-sample losses and the resulting keep/drop labels, next
-to the planted ground truth.
+to each view's normalized per-sample losses and the resulting keep/drop
+labels, next to the planted ground truth.
 """
 
 import dataclasses
@@ -13,8 +13,8 @@ import numpy as np
 
 from noisycir import nfb
 from noisycir.synth import DatasetSpec, generate_dataset
-from noisycir.trainer import (TrainConfig, run_training, split_dataset,
-                              _collect_epoch_losses)
+from noisycir.trainer import (TrainConfig, _collect_epoch_losses,
+                              _fit_and_label, run_training, split_dataset)
 
 
 def ascii_hist(values, bins=20, width=40):
@@ -38,21 +38,17 @@ def main():
     store = result.store
 
     train_idx, _ = split_dataset(samples, config)
-    loss_main, loss_wcb = _collect_epoch_losses(store, samples, train_idx,
-                                                config)
-    norm = nfb.normalize_losses(loss_main)
+    losses = _collect_epoch_losses(store, samples, train_idx, config)
     print("\nnormalized per-sample loss distribution after warm-up:")
-    ascii_hist(norm)
+    ascii_hist(nfb.normalize_losses(losses[0]))
 
-    gmm = nfb.em_fit(norm)
-    print(f"\nfitted mixture: mu=({gmm.means[0]:.3f}, {gmm.means[1]:.3f}) "
-          f"pi=({gmm.weights[0]:.2f}, {gmm.weights[1]:.2f})")
-
-    post_main = nfb.posterior(gmm, norm)
-    norm_w = nfb.normalize_losses(loss_wcb)
-    post_wcb = nfb.posterior(nfb.em_fit(norm_w), norm_w)
-    sets = nfb.build_sets(post_main, post_wcb)
-    labels = nfb.soft_labels(sets)
+    # the trainer's own fit step: one mixture per view, a pair kept only
+    # when every view's posterior exceeds theta
+    labels, gmms, sets = _fit_and_label(losses, config.theta)
+    print("\nfitted mixtures:")
+    for view, gmm in zip(("global", "compensated"), gmms):
+        print(f"  {view} view: mu=({gmm.means[0]:.3f}, {gmm.means[1]:.3f}) "
+              f"pi=({gmm.weights[0]:.2f}, {gmm.weights[1]:.2f})")
     truth = np.array([samples[i].is_noisy for i in train_idx])
 
     kept = labels == 1.0

@@ -10,7 +10,7 @@ trains only on the pairs judged matched.
 from .autodiff import GradCheckReport, ParamStore, Tape, Var, grad_check
 from .errors import (ConfigError, DataFormatError, DegenerateInputError,
                      NumericalError, ShapeError)
-from .evaluation import FilterScore, evaluate_filter, recall_at_k
+from .evaluation import FilterScore, evaluate_filter
 from .nfb import GmmParams, PairSets, build_sets, em_fit, posterior, soft_labels
 from .synth import DatasetSpec, TokenBundle, TripletSample, generate_dataset
 from .trainer import MetricsRecord, TrainConfig, run_ablation, run_training
@@ -21,7 +21,7 @@ __all__ = [
     "ConfigError", "DataFormatError", "DegenerateInputError", "NumericalError",
     "ShapeError", "DatasetSpec", "TokenBundle", "TripletSample",
     "generate_dataset", "GmmParams", "PairSets", "build_sets", "em_fit",
-    "posterior", "soft_labels", "FilterScore", "evaluate_filter", "recall_at_k",
+    "posterior", "soft_labels", "FilterScore", "evaluate_filter",
     "MetricsRecord", "TrainConfig", "run_ablation", "run_training",
     "GradCheckReport", "ParamStore", "Tape", "Var", "grad_check",
 ]

@@ -175,21 +175,6 @@ def _same_tape(*vars_: Var) -> Tape:
     return tape
 
 
-def matmul(a: Var, b: Var) -> Var:
-    tape = _same_tape(a, b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul {a.shape} x {b.shape}")
-    out = Var(tape, a.value @ b.value)
-
-    def bw():
-        g = _fault("matmul", out.grad)
-        a.grad += g @ b.value.T
-        b.grad += a.value.T @ g
-
-    out._backward = bw
-    return out
-
-
 def add(a: Var, b: Var) -> Var:
     """Elementwise add; b may be a (1, n) row bias broadcast over a's rows."""
     tape = _same_tape(a, b)
@@ -213,51 +198,10 @@ def add(a: Var, b: Var) -> Var:
     return out
 
 
-def relu(a: Var) -> Var:
-    out = Var(a.tape, np.maximum(a.value, 0.0))
-
-    def bw():
-        a.grad += _fault("relu", out.grad) * (a.value > 0.0)
-
-    out._backward = bw
-    return out
-
-
-def emul(a: Var, b: Var) -> Var:
-    tape = _same_tape(a, b)
-    if a.shape != b.shape:
-        raise ShapeError(f"emul {a.shape} * {b.shape}")
-    out = Var(tape, a.value * b.value)
-
-    def bw():
-        g = _fault("emul", out.grad)
-        a.grad += g * b.value
-        b.grad += g * a.value
-
-    out._backward = bw
-    return out
-
-
-def maxpool_rows(a: Var) -> Var:
-    """Column-wise max over rows; gradient routes to the first argmax row."""
-    if a.shape[0] < 1:
-        raise ShapeError("maxpool_rows on empty matrix")
-    idx = np.argmax(a.value, axis=0)
-    cols = np.arange(a.shape[1])
-    out = Var(a.tape, a.value[idx, cols].reshape(1, -1))
-
-    def bw():
-        g = _fault("maxpool_rows", out.grad)
-        np.add.at(a.grad, (idx, cols), g[0])
-
-    out._backward = bw
-    return out
-
-
 def maxpool_segments(a: Var, n_segments: int) -> Var:
     """Max over rows within each of n equal-height row segments.
 
-    Ties break to the lowest row index, matching maxpool_rows.
+    Ties break to the lowest row index.
     """
     rows, cols = a.shape
     if rows % n_segments != 0:
@@ -298,37 +242,6 @@ def slice_rows(a: Var, start: int, stop: int) -> Var:
 
     def bw():
         a.grad[start:stop] += _fault("slice_rows", out.grad)
-
-    out._backward = bw
-    return out
-
-
-def vsum(a: Var) -> Var:
-    out = Var(a.tape, np.array([[a.value.sum()]]))
-
-    def bw():
-        a.grad += _fault("vsum", out.grad[0, 0])
-
-    out._backward = bw
-    return out
-
-
-def cosine(u: Var, v: Var) -> Var:
-    """Cosine similarity of two (1, d) vectors; raises on zero-norm input."""
-    tape = _same_tape(u, v)
-    if u.shape != v.shape or u.shape[0] != 1:
-        raise ShapeError(f"cosine {u.shape} vs {v.shape}")
-    nu = float(np.linalg.norm(u.value))
-    nv = float(np.linalg.norm(v.value))
-    if nu < _NORM_EPS or nv < _NORM_EPS:
-        raise DegenerateInputError("cosine of (near-)zero-norm vector")
-    c = float(np.dot(u.value[0], v.value[0])) / (nu * nv)
-    out = Var(tape, np.array([[c]]))
-
-    def bw():
-        g = _fault("cosine", out.grad[0, 0])
-        u.grad += g * (v.value / (nu * nv) - c * u.value / (nu * nu))
-        v.grad += g * (u.value / (nu * nv) - c * v.value / (nv * nv))
 
     out._backward = bw
     return out
@@ -449,7 +362,6 @@ class GradCheckReport:
     worst_param: str
     n_entries: int
     group_worst: dict[str, float] = field(default_factory=dict)
-    param_worst: dict[str, float] = field(default_factory=dict)
 
 
 def grad_check(f, store: ParamStore, step: float = 1e-6,
@@ -477,7 +389,6 @@ def grad_check(f, store: ParamStore, step: float = 1e-6,
     worst = ""
     n = 0
     group_worst: dict[str, float] = {}
-    param_worst: dict[str, float] = {}
     ok = True
     for name, p in store.params.items():
         flat = p.reshape(-1)
@@ -512,9 +423,8 @@ def grad_check(f, store: ParamStore, step: float = 1e-6,
                     max_rel = err
                     worst = name
             pw = max(pw, err)
-        param_worst[name] = pw
         grp = store.groups[name]
         group_worst[grp] = max(group_worst.get(grp, 0.0), pw)
     return GradCheckReport(passed=ok, max_rel_error=max_rel, max_abs_error=max_abs,
                            worst_param=worst, n_entries=n,
-                           group_worst=group_worst, param_worst=param_worst)
+                           group_worst=group_worst)

@@ -38,7 +38,7 @@ EXIT_NUMERIC = 4
 
 
 def _atomic_write_text(path: str, text: str) -> None:
-    _atomic_write(path, text.encode("utf-8"))
+    _atomic_write(path, [text.encode("utf-8")])
 
 
 def _csv(rows: list[dict], columns: list[str]) -> str:

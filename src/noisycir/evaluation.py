@@ -39,15 +39,6 @@ def recall_from_similarity(sims: np.ndarray, k: int) -> float:
     return float((ranks <= k).mean())
 
 
-def recall_at_k(queries: np.ndarray, gallery: np.ndarray, k: int) -> float:
-    """Fraction of queries whose index-aligned target ranks in the top k."""
-    q = np.asarray(queries)
-    g = np.asarray(gallery)
-    if q.shape != g.shape:
-        raise ShapeError("queries and gallery must align one-to-one")
-    return recall_from_similarity(cosine_similarity_matrix(q, g), k)
-
-
 @dataclass
 class FilterScore:
     precision: float

@@ -1,11 +1,12 @@
 """Noise-pair filtering via a two-component 1-D Gaussian mixture.
 
-Per-sample contrastive losses are min-max normalized, a 2-component GMM is
-fit by EM, and the posterior of the low-loss component decides set
-membership: pairs confidently matched in at least one view form the matched
-set, pairs rejected by both views the mismatched set, and pairs the views
-disagree on the partially-matched set. Soft labels zero out everything but
-the confidently matched pairs.
+Each view's per-sample contrastive losses are min-max normalized, a
+2-component GMM is fit to them by EM, and the posterior of the low-loss
+component decides set membership: pairs confidently matched in at least one
+view form the matched set, pairs rejected by both views the mismatched set,
+and pairs the views disagree on the partially-matched set. Soft labels keep
+(label 1) exactly the pairs every view accepts. With a single view, its
+posteriors are passed as both views and no pair is partial.
 """
 
 from __future__ import annotations

@@ -4,9 +4,10 @@ Layout (little-endian throughout):
     magic (4 bytes) | version u16 | header_len u32 | JSON header |
     float64 payload | crc32 of payload (u32)
 
-Datasets use magic "NCLD", weight files "NCLW". Writes go to a temp file
-in the target directory and are renamed into place, so a failed write
-never leaves a partial artifact.
+Datasets use magic "NCLD", weight files "NCLW". Writes stream the header
+and then each array, with a running checksum, to a temp file in the target
+directory, which is renamed into place, so the file is never held in memory
+whole and a failed write never leaves a partial artifact.
 
 The header is not under the checksum, so readers validate every header
 field they use: types, keys, and that payload_bytes and the offsets are
@@ -23,6 +24,7 @@ import os
 import struct
 import tempfile
 import zlib
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -38,12 +40,14 @@ VERSION = 1
 _TRUTHS = (TRUTH_CLEAN, TRUTH_PARTIAL, TRUTH_MISMATCHED)
 
 
-def _atomic_write(path: str, blob: bytes) -> None:
+def _atomic_write(path: str, chunks: Iterable[bytes]) -> None:
+    """Write the chunks, in order, to a temp file and rename it into place."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -51,16 +55,18 @@ def _atomic_write(path: str, blob: bytes) -> None:
         raise
 
 
-def _pack(magic: bytes, header: dict, payload: bytes) -> bytes:
+def _container(magic: bytes, header: dict,
+               arrays: Iterable[np.ndarray]) -> Iterator[bytes]:
+    """The file's bytes in order: preamble, header, each array as float64,
+    then the CRC32 of the arrays' bytes, computed as they stream past."""
     hdr = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return b"".join([
-        magic,
-        struct.pack("<H", VERSION),
-        struct.pack("<I", len(hdr)),
-        hdr,
-        payload,
-        struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF),
-    ])
+    yield magic + struct.pack("<HI", VERSION, len(hdr)) + hdr
+    crc = 0
+    for arr in arrays:
+        raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+        crc = zlib.crc32(raw, crc)
+        yield raw
+    yield struct.pack("<I", crc & 0xFFFFFFFF)
 
 
 def _unpack(blob: bytes, magic: bytes) -> tuple[dict, memoryview]:
@@ -123,34 +129,30 @@ def _spec_from_header(header: dict) -> DatasetSpec:
     return spec
 
 
-def _bundle_arrays(b: TokenBundle) -> list[np.ndarray]:
-    return [b.tokens, b.attention]
+def _sample_arrays(s: TripletSample) -> list[np.ndarray]:
+    """A sample's arrays in file order: tokens then attention, per bundle."""
+    return [a for b in (s.mod_text, s.ref_image, s.tar_image)
+            for a in (b.tokens, b.attention)]
 
 
 def write_dataset(samples: list[TripletSample], spec: DatasetSpec, path: str) -> None:
-    chunks: list[bytes] = []
     offsets: list[int] = []
-    meta: list[dict] = []
     pos = 0
     for s in samples:
         offsets.append(pos)
-        for bundle in (s.mod_text, s.ref_image, s.tar_image):
-            for arr in _bundle_arrays(bundle):
-                raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-                chunks.append(raw)
-                pos += len(raw)
-        meta.append({"truth": s.truth, "concept_ids": list(s.concept_ids)})
-    payload = b"".join(chunks)
+        pos += 8 * sum(a.size for a in _sample_arrays(s))
     header = {
         "kind": "dataset",
         "spec": dataclasses.asdict(spec),
         "n_samples": len(samples),
         "dims": {"n": spec.text_tokens, "m": spec.image_patches, "d": spec.dim},
-        "samples": meta,
+        "samples": [{"truth": s.truth, "concept_ids": list(s.concept_ids)}
+                    for s in samples],
         "offsets": offsets,
-        "payload_bytes": len(payload),
+        "payload_bytes": pos,
     }
-    _atomic_write(path, _pack(MAGIC_DATASET, header, payload))
+    arrays = (a for s in samples for a in _sample_arrays(s))
+    _atomic_write(path, _container(MAGIC_DATASET, header, arrays))
 
 
 def read_dataset(path: str) -> tuple[list[TripletSample], DatasetSpec]:
@@ -206,24 +208,21 @@ def read_dataset(path: str) -> tuple[list[TripletSample], DatasetSpec]:
 
 
 def write_weights(store: ParamStore, path: str, extra: dict | None = None) -> None:
-    chunks: list[bytes] = []
     entries: list[dict] = []
     pos = 0
     for name in store.names():
-        arr = np.ascontiguousarray(store.params[name], dtype="<f8")
-        raw = arr.tobytes()
-        entries.append({"name": name, "shape": list(arr.shape),
+        shape = store.params[name].shape
+        entries.append({"name": name, "shape": list(shape),
                         "group": store.groups[name], "offset": pos})
-        chunks.append(raw)
-        pos += len(raw)
-    payload = b"".join(chunks)
+        pos += 8 * math.prod(shape)
     header = {
         "kind": "weights",
         "params": entries,
-        "payload_bytes": len(payload),
+        "payload_bytes": pos,
         "extra": extra or {},
     }
-    _atomic_write(path, _pack(MAGIC_WEIGHTS, header, payload))
+    arrays = (store.params[name] for name in store.names())
+    _atomic_write(path, _container(MAGIC_WEIGHTS, header, arrays))
 
 
 def read_weights(path: str) -> ParamStore:

@@ -1,9 +1,11 @@
 """Training loop, optimizer, and ablation harness.
 
-Per epoch: forward both views, during warm-up train with every label set to
-1; afterwards fit the noise filter on detached per-sample losses (over the
-whole epoch by default, or per batch), mask the contrastive loss with the
-resulting soft labels, and take a grouped-learning-rate Adam step. Retrieval
+Per epoch: forward every enabled view, during warm-up train with every label
+set to 1; afterwards fit the noise filter on detached per-sample losses (over
+the whole epoch by default, or per batch). One fit step serves both scopes:
+it fits one mixture per enabled view and labels a pair 1 only when every
+view's posterior exceeds theta. The labels, one per sample index, mask the
+contrastive loss, and a grouped-learning-rate Adam step follows. Retrieval
 is evaluated on a clean holdout; filter quality against the synthetic
 ground-truth noise flags.
 """
@@ -17,7 +19,8 @@ import numpy as np
 
 from . import fusion, nfb
 from .autodiff import ParamStore, Tape, Var, slice_rows
-from .errors import ConfigError, NumericalError, check_seed_and_floats
+from .errors import (ConfigError, DegenerateInputError, NumericalError,
+                     check_seed_and_floats)
 from .evaluation import (FilterScore, cosine_similarity_matrix, evaluate_filter,
                          recall_from_similarity)
 from .synth import TripletSample
@@ -193,6 +196,8 @@ def split_dataset(samples: list[TripletSample],
                   config: TrainConfig) -> tuple[list[int], list[int]]:
     """Holdout a clean evaluation split; everything else trains."""
     clean = [i for i, s in enumerate(samples) if not s.is_noisy]
+    if not clean:
+        raise DegenerateInputError("no clean pair to hold out for evaluation")
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 4]))
     perm = rng.permutation(len(clean))
     n_eval = max(1, int(round(config.eval_fraction * len(clean))))
@@ -202,43 +207,46 @@ def split_dataset(samples: list[TripletSample],
     return train_idx, eval_idx
 
 
-def _batches(indices: np.ndarray, batch_size: int) -> list[np.ndarray]:
-    out = []
-    for start in range(0, len(indices), batch_size):
-        chunk = indices[start:start + batch_size]
-        if len(chunk) >= 2:  # contrastive loss needs in-batch negatives
-            out.append(chunk)
+def _batches(indices: np.ndarray, batch_size: int,
+             fold_tail: bool = False) -> list[np.ndarray]:
+    """Consecutive chunks of batch_size. The contrastive loss needs in-batch
+    negatives, so a trailing one-pair chunk is dropped, or with fold_tail
+    joins the chunk before it."""
+    out = [indices[s:s + batch_size] for s in range(0, len(indices), batch_size)]
+    if out and len(out[-1]) < 2:
+        tail = out.pop()
+        if fold_tail and out:
+            out[-1] = np.concatenate([out[-1], tail])
     return out
 
 
 def _collect_epoch_losses(store: ParamStore, samples: list[TripletSample],
                           train_idx: list[int], config: TrainConfig
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Detached per-sample losses over the training split, per view."""
-    main = np.zeros(len(train_idx))
-    wcb_l = np.zeros(len(train_idx))
-    pos = 0
-    for chunk in _batches(np.asarray(train_idx), config.batch_size):
-        tape = Tape()
-        views = forward_batch(tape, store, [samples[i] for i in chunk],
+                          ) -> list[np.ndarray]:
+    """Detached per-sample losses over the whole training split, one vector
+    per enabled view, in train_idx order."""
+    if len(train_idx) < 2:
+        raise DegenerateInputError(
+            f"the epoch-scope filter needs at least 2 training pairs, "
+            f"got {len(train_idx)}")
+    per_chunk = []
+    for chunk in _batches(np.asarray(train_idx), config.batch_size, fold_tail=True):
+        views = forward_batch(Tape(), store, [samples[i] for i in chunk],
                               config.enable_wcb)
-        vecs = _loss_vectors(views, config.temperature)
-        main[pos:pos + len(chunk)] = vecs[0].value[:, 0]
-        wcb_l[pos:pos + len(chunk)] = (vecs[1].value[:, 0] if len(vecs) > 1
-                                       else vecs[0].value[:, 0])
-        pos += len(chunk)
-    return main[:pos], wcb_l[:pos]
+        per_chunk.append([v.value[:, 0]
+                          for v in _loss_vectors(views, config.temperature)])
+    return [np.concatenate(view) for view in zip(*per_chunk)]
 
 
-def _fit_and_label(loss_main: np.ndarray, loss_wcb: np.ndarray,
-                   theta: float) -> tuple[np.ndarray, nfb.GmmParams, nfb.GmmParams,
-                                          nfb.PairSets]:
-    gmm_main = nfb.em_fit(nfb.normalize_losses(loss_main))
-    gmm_wcb = nfb.em_fit(nfb.normalize_losses(loss_wcb))
-    post_main = nfb.posterior(gmm_main, nfb.normalize_losses(loss_main))
-    post_wcb = nfb.posterior(gmm_wcb, nfb.normalize_losses(loss_wcb))
-    sets = nfb.build_sets(post_main, post_wcb, theta)
-    return nfb.soft_labels(sets), gmm_main, gmm_wcb, sets
+def _fit_and_label(loss_vectors: list[np.ndarray], theta: float
+                   ) -> tuple[np.ndarray, list[nfb.GmmParams], nfb.PairSets]:
+    """One mixture per view; label 1 where every view's posterior > theta
+    (build_sets of the first and the last view: with one view, it twice)."""
+    normed = [nfb.normalize_losses(v) for v in loss_vectors]
+    gmms = [nfb.em_fit(x) for x in normed]
+    posts = [nfb.posterior(g, x) for g, x in zip(gmms, normed)]
+    sets = nfb.build_sets(posts[0], posts[-1], theta)
+    return nfb.soft_labels(sets), gmms, sets
 
 
 def _diagnostics(store: ParamStore) -> str:
@@ -264,18 +272,20 @@ def train_epoch(store: ParamStore, optimizer: Adam, samples: list[TripletSample]
                 epoch: int) -> tuple[MetricsRecord, list[FilterReportRow]]:
     filtering = config.enable_nfb and epoch >= config.warmup_epochs
 
-    epoch_labels: dict[int, float] = {}
-    filter_rows: list[FilterReportRow] = []
-    gmms: tuple[nfb.GmmParams, nfb.GmmParams] | None = None
-    sets_counts = np.zeros(3, dtype=int)
+    # one label per sample index, NaN until a fit labels it
+    pair_labels = np.full(len(samples), np.nan)
+    gmms: list[nfb.GmmParams] = []
+    set_counts = np.zeros(3, dtype=int)
+
+    def fit(idx, loss_vectors: list[np.ndarray]) -> np.ndarray:
+        nonlocal gmms
+        labels, gmms, sets = _fit_and_label(loss_vectors, config.theta)
+        pair_labels[idx] = labels
+        set_counts[:] += (len(sets.s_m), len(sets.s_u), len(sets.s_p))
+        return labels
 
     if filtering and config.filter_scope == "epoch":
-        loss_main, loss_wcb = _collect_epoch_losses(store, samples, train_idx, config)
-        labels, gmm_main, gmm_wcb, sets = _fit_and_label(
-            loss_main, loss_wcb, config.theta)
-        epoch_labels = dict(zip(train_idx, labels))
-        gmms = (gmm_main, gmm_wcb)
-        sets_counts += (len(sets.s_m), len(sets.s_u), len(sets.s_p))
+        fit(train_idx, _collect_epoch_losses(store, samples, train_idx, config))
 
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 5, epoch]))
     order = rng.permutation(np.asarray(train_idx))
@@ -285,22 +295,15 @@ def train_epoch(store: ParamStore, optimizer: Adam, samples: list[TripletSample]
     label_n = 0
     for batch_no, chunk in enumerate(_batches(order, config.batch_size)):
         tape = Tape()
-        batch = [samples[i] for i in chunk]
-        views = forward_batch(tape, store, batch, config.enable_wcb)
+        views = forward_batch(tape, store, [samples[i] for i in chunk],
+                              config.enable_wcb)
         vecs = _loss_vectors(views, config.temperature)
         if not filtering:
             labels = np.ones(len(chunk))
-        elif config.filter_scope == "epoch":
-            labels = np.array([epoch_labels[i] for i in chunk])
+        elif config.filter_scope == "batch":
+            labels = fit(chunk, [v.value[:, 0] for v in vecs])
         else:
-            lv_main = vecs[0].value[:, 0]
-            lv_wcb = vecs[-1].value[:, 0]
-            labels, gmm_main, gmm_wcb, sets = _fit_and_label(
-                lv_main, lv_wcb, config.theta)
-            for i, lab in zip(chunk, labels):
-                epoch_labels[int(i)] = float(lab)
-            gmms = (gmm_main, gmm_wcb)
-            sets_counts += (len(sets.s_m), len(sets.s_u), len(sets.s_p))
+            labels = pair_labels[chunk]
         loss = fusion.masked_loss(vecs, labels)
         if not np.isfinite(loss.value).all():
             raise NumericalError(
@@ -316,22 +319,22 @@ def train_epoch(store: ParamStore, optimizer: Adam, samples: list[TripletSample]
     recalls = evaluate_retrieval(store, [samples[i] for i in eval_idx],
                                  config.enable_wcb)
     score: FilterScore | None = None
-    if filtering and epoch_labels:
-        idx = sorted(epoch_labels)
-        lab_arr = np.array([epoch_labels[i] for i in idx])
-        truth = np.array([samples[i].is_noisy for i in idx])
-        score = evaluate_filter(lab_arr, truth)
-        if gmms is not None:
-            for view, gmm in zip(("main", "wcb"), gmms):
-                filter_rows.append(FilterReportRow(
-                    epoch=epoch, view=view,
-                    mu0=float(gmm.means[0]), mu1=float(gmm.means[1]),
-                    sigma0=float(np.sqrt(gmm.variances[0])),
-                    sigma1=float(np.sqrt(gmm.variances[1])),
-                    pi0=float(gmm.weights[0]),
-                    n_matched=int(sets_counts[0]), n_mismatched=int(sets_counts[1]),
-                    n_partial=int(sets_counts[2]),
-                    precision=score.precision, recall=score.recall, f1=score.f1))
+    filter_rows: list[FilterReportRow] = []
+    labelled = np.flatnonzero(~np.isnan(pair_labels))
+    if labelled.size:
+        truth = np.array([samples[i].is_noisy for i in labelled])
+        score = evaluate_filter(pair_labels[labelled], truth)
+        # with one view both rows describe the same fit
+        for view, gmm in (("main", gmms[0]), ("wcb", gmms[-1])):
+            filter_rows.append(FilterReportRow(
+                epoch=epoch, view=view,
+                mu0=float(gmm.means[0]), mu1=float(gmm.means[1]),
+                sigma0=float(np.sqrt(gmm.variances[0])),
+                sigma1=float(np.sqrt(gmm.variances[1])),
+                pi0=float(gmm.weights[0]),
+                n_matched=int(set_counts[0]), n_mismatched=int(set_counts[1]),
+                n_partial=int(set_counts[2]),
+                precision=score.precision, recall=score.recall, f1=score.f1))
 
     record = MetricsRecord(
         epoch=epoch,

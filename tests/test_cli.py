@@ -233,6 +233,38 @@ class TestGradcheck:
         assert main(["gradcheck"]) == EXIT_OK
 
 
+def _tiny_config(num_triplets, dim=4, image_patches=4):
+    return {"dataset": {"num_concepts": 4, "dim": dim, "text_tokens": 2,
+                        "image_patches": image_patches,
+                        "num_triplets": num_triplets, "mismatch_rate": 0.3,
+                        "seed": 0},
+            "train": {"epochs": 2, "warmup_epochs": 1, "seed": 0}}
+
+
+@pytest.mark.parametrize("config, variant, code", [
+    *[(_tiny_config(1), v, EXIT_NUMERIC)  # no clean pair to hold out
+      for v in ("baseline", "wcb_only", "nfb_only", "full")],
+    (_tiny_config(2), "full", EXIT_NUMERIC),  # 1 training pair, epoch scope
+    (_tiny_config(20), "full", EXIT_OK),  # training splits of 1 mod 16
+    (_tiny_config(38), "full", EXIT_OK),
+    (_tiny_config(57, dim=8, image_patches=8), "full", EXIT_OK),
+], ids=[f"1-{v}" for v in ("baseline", "wcb_only", "nfb_only", "full")]
+    + ["2-full", "20-full", "38-full", "57-d8-full"])
+def test_degenerate_split_exits_cleanly(tmp_path, capsys, config, variant, code):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    data = tmp_path / "data.ncld"
+    assert main(["generate", "--config", str(cfg), "--out", str(data)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--dataset", str(data),
+                 "--out", str(tmp_path / "run"), "--variant", variant]) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    if code == EXIT_NUMERIC:
+        assert captured.err.startswith("numerical failure: ")
+        assert captured.err.count("\n") == 1
+
+
 class TestAblateAndReport:
     def test_ablate_rows_and_report(self, tmp_path, capsys):
         cfg = {"dataset": dict(SMALL["dataset"], num_triplets=60),

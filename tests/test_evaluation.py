@@ -3,7 +3,8 @@ import pytest
 
 from noisycir.errors import ConfigError, ShapeError
 from noisycir.evaluation import (cosine_similarity_matrix, evaluate_filter,
-                                 recall_at_k, recall_from_similarity)
+                                 recall_from_similarity)
+from tests.oracles import recall_at_k
 
 
 class TestSimilarityMatrix:

@@ -3,10 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from noisycir import nfb, trainer
 from noisycir.autodiff import Tape
 from noisycir.errors import ConfigError
 from noisycir.synth import DatasetSpec, generate_dataset
-from noisycir.trainer import (Adam, TrainConfig, forward_batch, init_params,
+from noisycir.trainer import (Adam, TrainConfig, _collect_epoch_losses,
+                              _fit_and_label, forward_batch, init_params,
                               run_training, split_dataset, train_epoch)
 
 SMALL_SPEC = DatasetSpec(num_concepts=8, dim=16, text_tokens=4, image_patches=8,
@@ -180,11 +182,18 @@ class TestTraining:
     def test_filter_fit_adds_no_gradients(self, small_dataset):
         # the loss-collection pass for the filter must leave parameter
         # gradients untouched
-        from noisycir.trainer import _collect_epoch_losses
         store = init_params(SMALL_SPEC.dim, 0)
         train_idx, _ = split_dataset(small_dataset, SMALL_CFG)
-        _collect_epoch_losses(store, small_dataset, train_idx, SMALL_CFG)
+        losses = _collect_epoch_losses(store, small_dataset, train_idx, SMALL_CFG)
+        assert [v.shape for v in losses] == [(len(train_idx),)] * 2
         assert all(np.all(v == 0) for v in store.grads.values())
+
+    def test_loss_pass_without_wcb_yields_one_view(self, small_dataset):
+        store = init_params(SMALL_SPEC.dim, 0)
+        train_idx, _ = split_dataset(small_dataset, SMALL_CFG)
+        cfg = dataclasses.replace(SMALL_CFG, enable_wcb=False)
+        losses = _collect_epoch_losses(store, small_dataset, train_idx, cfg)
+        assert [v.shape for v in losses] == [(len(train_idx),)]
 
     def test_warmup_trajectory_shared_across_filter_flag(self, small_dataset):
         # baseline and filter-enabled runs agree during warm-up epochs
@@ -227,3 +236,54 @@ class TestTraining:
         assert rec.epoch == 0
         assert 0.0 <= rec.recall_at_1 <= rec.recall_at_10 <= rec.recall_at_50 <= 1.0
         assert rows == []  # warm-up epoch emits no filter report
+
+
+class TestFilterPath:
+    @pytest.mark.parametrize("scope", ["epoch", "batch"])
+    def test_one_mixture_per_fit_without_wcb(self, small_dataset, monkeypatch,
+                                             scope):
+        em_calls, fit_calls = [], []
+        em_fit, fit_and_label = nfb.em_fit, trainer._fit_and_label
+        monkeypatch.setattr(nfb, "em_fit",
+                            lambda *a, **k: em_calls.append(1) or em_fit(*a, **k))
+        monkeypatch.setattr(trainer, "_fit_and_label",
+                            lambda *a: fit_calls.append(1) or fit_and_label(*a))
+        cfg = dataclasses.replace(SMALL_CFG, enable_wcb=False, filter_scope=scope,
+                                  epochs=SMALL_CFG.warmup_epochs + 1)
+        result = run_training(small_dataset, cfg)
+        n_batches = len(trainer._batches(np.asarray(result.train_indices),
+                                         cfg.batch_size))
+        assert len(fit_calls) == (1 if scope == "epoch" else n_batches)
+        assert len(em_calls) == len(fit_calls)
+        main, wcb = result.filter_rows
+        assert dataclasses.replace(wcb, view="main") == main
+
+    @pytest.mark.parametrize("n_views", [1, 2])
+    @pytest.mark.parametrize("theta", [0.3, 0.5])
+    def test_labels_keep_the_pairs_every_view_accepts(self, monkeypatch,
+                                                      n_views, theta):
+        rng = np.random.default_rng(n_views)
+        posts = [rng.random(64) for _ in range(n_views)]
+        feed = iter(posts)
+        monkeypatch.setattr(nfb, "posterior", lambda gmm, x: next(feed))
+        labels, gmms, _ = _fit_and_label([rng.random(64) for _ in posts], theta)
+        every = np.all([p > theta for p in posts], axis=0).astype(float)
+        assert len(gmms) == n_views
+        assert 0 < every.sum() < every.size
+        assert np.array_equal(labels, every)
+        assert np.array_equal(
+            labels, nfb.soft_labels(nfb.build_sets(posts[0], posts[-1], theta)))
+
+    def test_epoch_scope_labels_every_pair_of_a_split_1_mod_batch(
+            self, small_dataset):
+        # a trailing one-pair chunk joins the chunk before it, so no
+        # training pair is left without a label
+        train_idx, eval_idx = split_dataset(small_dataset, SMALL_CFG)
+        n = len(train_idx)
+        batch_size = next(b for b in range(4, n) if n % b == 1)
+        cfg = dataclasses.replace(SMALL_CFG, batch_size=batch_size)
+        store = init_params(SMALL_SPEC.dim, 0)
+        opt = Adam(store, {"wcb": 1e-3, "other": 1e-3})
+        _, rows = train_epoch(store, opt, small_dataset, train_idx, eval_idx,
+                              cfg, epoch=cfg.warmup_epochs)
+        assert [r.n_matched + r.n_mismatched for r in rows] == [n, n]

@@ -9,6 +9,7 @@ from noisycir.errors import ShapeError
 from noisycir.synth import DatasetSpec, TokenBundle, TripletSample, generate_dataset
 from noisycir.trainer import init_params
 from noisycir.wcb import IMAGE_MLP, TEXT_MLP, compensate_batch
+from tests import oracles
 from tests.test_autodiff import assert_grads_match
 
 # ---------------------------------------------------------------------------
@@ -37,7 +38,7 @@ def wcb_fuse(tape: Tape, store: ParamStore, name: str,
         raise ShapeError(
             f"wcb_fuse: token width {weighted_nonglobal.shape[1]} != {d}")
     x = tape.const(weighted_nonglobal)
-    pooled = ad.maxpool_rows(ad.mlp_forward(x, store, name))
+    pooled = oracles.maxpool_rows(ad.mlp_forward(x, store, name))
     return ad.add(pooled, tape.const(global_token.reshape(1, d)))
 
 
@@ -147,7 +148,7 @@ class TestWcbFuse:
         def f(st):
             tape = Tape()
             out = wcb_fuse(tape, st, "m", weighted, g)
-            return ad.vsum(ad.emul(out, out))
+            return oracles.vsum(oracles.emul(out, out))
 
         assert_grads_match(f, store)
 
@@ -268,8 +269,9 @@ class TestCompensateAll:
         def f(st):
             tape = Tape()
             t, r, g = compensate_all(tape, st, sample)
-            total = ad.add(ad.add(ad.vsum(ad.emul(t, t)), ad.vsum(ad.emul(r, r))),
-                           ad.vsum(ad.emul(g, g)))
+            total = ad.add(ad.add(oracles.vsum(oracles.emul(t, t)),
+                                  oracles.vsum(oracles.emul(r, r))),
+                           oracles.vsum(oracles.emul(g, g)))
             return total
 
         report = ad.grad_check(f, store)

@@ -17,6 +17,12 @@ activations get no tape nodes or gradient buffers of their own.
 A ParamStore keeps all parameters in one contiguous buffer and all
 gradients in another; params[name] and grads[name] are reshaped views into
 them, so zeroing the gradients and an optimizer update each touch one array.
+
+Graph lifetime: a tape, its Vars and their closures point at each other.
+Used as a context manager, a Tape cuts those links when the block ends, so
+reference counting frees the step's graph at once. No-grad passes build no
+graph: they call the value functions the taped ops use (mlp_values,
+cosine_values, xent_values), which work over stacks of batches.
 """
 
 from __future__ import annotations
@@ -75,8 +81,16 @@ class Tape:
 
     def __init__(self):
         self._nodes: list[Var] = []
-        self._param_vars: dict[tuple[int, str], Var] = {}
-        self._param_bindings: list[tuple["ParamStore", str, Var]] = []
+        self._params: dict[tuple[int, str], tuple["ParamStore", str, Var]] = {}
+
+    def __enter__(self) -> "Tape":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for node in self._nodes:   # cut tape <-> node <-> closure cycles
+            node.tape = node._backward = None
+        self._nodes.clear()
+        self._params.clear()
 
     def const(self, value) -> Var:
         value = np.asarray(value, dtype=np.float64)
@@ -87,11 +101,9 @@ class Tape:
     def param(self, store: "ParamStore", name: str) -> Var:
         """Var bound to a named parameter; cached so reuse shares gradients."""
         key = (id(store), name)
-        if key not in self._param_vars:
-            v = Var(self, store.params[name])
-            self._param_vars[key] = v
-            self._param_bindings.append((store, name, v))
-        return self._param_vars[key]
+        if key not in self._params:
+            self._params[key] = (store, name, Var(self, store.params[name]))
+        return self._params[key][2]
 
     def backward(self, loss: Var) -> None:
         if loss.tape is not self:
@@ -107,7 +119,7 @@ class Tape:
 
     def accumulate_grads(self) -> None:
         """Add this tape's parameter gradients into their stores."""
-        for store, name, var in self._param_bindings:
+        for store, name, var in self._params.values():
             store.grads[name] += var.grad
 
 
@@ -161,6 +173,41 @@ class ParamStore:
 
     def names(self) -> list[str]:
         return list(self.params.keys())
+
+
+def mlp_values(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
+               b2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Linear -> ReLU -> linear: (output, hidden activations)."""
+    h = np.maximum(x @ w1 + b1, 0.0)
+    return h @ w2 + b2, h
+
+
+def mlp_apply(x: np.ndarray, store: ParamStore, name: str) -> np.ndarray:
+    """mlp_forward's output values, without a tape."""
+    return mlp_values(x, *(store.params[f"{name}.{p}"]
+                           for p in ("W1", "b1", "W2", "b2")))[0]
+
+
+def cosine_values(q: np.ndarray, t: np.ndarray):
+    """All-pairs cosines over the last two axes, out[..., i, j] = cos(q_i, t_j),
+    then (unit rows, row norms) of q and of t."""
+    units = []
+    for x in (q, t):
+        norms = np.linalg.norm(x, axis=-1, keepdims=True)
+        if norms.min() < _NORM_EPS:
+            raise DegenerateInputError("cosine_matrix row with (near-)zero norm")
+        units.append((x / norms, norms))
+    return units[0][0] @ np.swapaxes(units[1][0], -1, -2), *units
+
+
+def xent_values(sims: np.ndarray, tau: float):
+    """Per-row softmax cross-entropy against the diagonal, over the last two
+    axes: (losses (..., B, 1), exponentials, their row sums)."""
+    z = sims / tau
+    m = z.max(axis=-1, keepdims=True)
+    e = np.exp(z - m)
+    s = e.sum(axis=-1, keepdims=True)
+    return -(np.diagonal(z, 0, -2, -1)[..., None] - m - np.log(s)), e, s
 
 
 # ---------------------------------------------------------------------------
@@ -252,20 +299,15 @@ def cosine_matrix(q: Var, t: Var) -> Var:
     tape = _same_tape(q, t)
     if q.shape[1] != t.shape[1]:
         raise ShapeError(f"cosine_matrix widths {q.shape} vs {t.shape}")
-    qn = np.linalg.norm(q.value, axis=1)
-    tn = np.linalg.norm(t.value, axis=1)
-    if qn.min() < _NORM_EPS or tn.min() < _NORM_EPS:
-        raise DegenerateInputError("cosine_matrix row with (near-)zero norm")
-    qh = q.value / qn[:, None]
-    th = t.value / tn[:, None]
-    out = Var(tape, qh @ th.T)
+    sims, (qh, qn), (th, tn) = cosine_values(q.value, t.value)
+    out = Var(tape, sims)
 
     def bw():
         g = _fault("cosine_matrix", out.grad)
         dqh = g @ th
         dth = g.T @ qh
-        q.grad += (dqh - (dqh * qh).sum(axis=1, keepdims=True) * qh) / qn[:, None]
-        t.grad += (dth - (dth * th).sum(axis=1, keepdims=True) * th) / tn[:, None]
+        q.grad += (dqh - (dqh * qh).sum(axis=1, keepdims=True) * qh) / qn
+        t.grad += (dth - (dth * th).sum(axis=1, keepdims=True) * th) / tn
 
     out._backward = bw
     return out
@@ -282,11 +324,7 @@ def softmax_xent_rows(sims: Var, tau: float) -> Var:
     b = sims.shape[0]
     if sims.shape != (b, b):
         raise ShapeError(f"softmax_xent_rows expects square matrix, got {sims.shape}")
-    z = sims.value / tau
-    m = z.max(axis=1, keepdims=True)
-    e = np.exp(z - m)
-    s = e.sum(axis=1, keepdims=True)
-    losses = -(np.diag(z)[:, None] - m - np.log(s))
+    losses, e, s = xent_values(sims.value, tau)
     out = Var(sims.tape, losses)
 
     def bw():
@@ -329,9 +367,8 @@ def mlp_forward(x: Var, store: ParamStore, name: str) -> Var:
     b2 = x.tape.param(store, f"{name}.b2")
     if x.shape[1] != w1.shape[0]:
         raise ShapeError(f"MLP {name}: input width {x.shape[1]} != {w1.shape[0]}")
-    pre = x.value @ w1.value + b1.value
-    h = np.maximum(pre, 0.0)
-    out = Var(x.tape, h @ w2.value + b2.value)
+    y, h = mlp_values(x.value, w1.value, b1.value, w2.value, b2.value)
+    out = Var(x.tape, y)
 
     def bw():
         g = _fault("add", out.grad)
@@ -339,7 +376,7 @@ def mlp_forward(x: Var, store: ParamStore, name: str) -> Var:
         g = _fault("matmul", g)
         dh = g @ w2.value.T
         w2.grad += h.T @ g
-        g = _fault("relu", dh) * (pre > 0.0)
+        g = _fault("relu", dh) * (h > 0.0)
         g = _fault("add", g)
         b1.grad += g.sum(axis=0, keepdims=True)
         g = _fault("matmul", g)

@@ -22,7 +22,6 @@ import json
 import math
 import os
 import struct
-import tempfile
 import zlib
 from collections.abc import Iterable, Iterator
 
@@ -43,7 +42,9 @@ _TRUTHS = (TRUTH_CLEAN, TRUTH_PARTIAL, TRUTH_MISMATCHED)
 def _atomic_write(path: str, chunks: Iterable[bytes]) -> None:
     """Write the chunks, in order, to a temp file and rename it into place."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
+    # a fresh file like mkstemp's, but its mode follows the umask, as open()'s
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             for chunk in chunks:

@@ -8,6 +8,9 @@ view's posterior exceeds theta. The labels, one per sample index, mask the
 contrastive loss, and a grouped-learning-rate Adam step follows. Retrieval
 is evaluated on a clean holdout; filter quality against the synthetic
 ground-truth noise flags.
+
+Each step's tape is freed when the step ends. The epoch-scope loss pass and
+the holdout evaluation need no gradients and build no tape.
 """
 
 from __future__ import annotations
@@ -18,13 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fusion, nfb
-from .autodiff import ParamStore, Tape, Var, slice_rows
+from .autodiff import ParamStore, Tape, Var, mlp_apply, slice_rows
 from .errors import (ConfigError, DegenerateInputError, NumericalError,
                      check_seed_and_floats)
 from .evaluation import (FilterScore, cosine_similarity_matrix, evaluate_filter,
                          recall_from_similarity)
 from .synth import TripletSample
-from .wcb import IMAGE_MLP, TEXT_MLP, compensate_batch
+from .wcb import IMAGE_MLP, TEXT_MLP, compensate_batch, compensate_values
 
 RECALL_KS = (1, 10, 50)
 
@@ -188,8 +191,24 @@ def forward_batch(tape: Tape, store: ParamStore, samples: list[TripletSample],
     return views
 
 
-def _loss_vectors(views: BatchViews, tau: float) -> list[Var]:
-    return [fusion.nce_per_sample(q, t, tau) for q, t in views.pairs()]
+def _embed(store: ParamStore, samples: list[TripletSample],
+           enable_wcb: bool) -> list[tuple[np.ndarray, np.ndarray]]:
+    """forward_batch's (query, target) values per view, without a tape."""
+    def fuse(text, image, view):
+        return mlp_apply(np.concatenate([text, image], axis=1), store,
+                         fusion.FUSION_MLP[view])
+
+    text_g, ref_g, tar_g = (np.stack([s.mod_text.global_token() for s in samples]),
+                            np.stack([s.ref_image.global_token() for s in samples]),
+                            np.stack([s.tar_image.global_token() for s in samples]))
+    views = [(fuse(text_g, ref_g, fusion.VIEW_GLOBAL), tar_g)]
+    if enable_wcb:
+        b = len(samples)
+        text_w = compensate_values(store, [s.mod_text for s in samples], TEXT_MLP)
+        both = compensate_values(store, [s.ref_image for s in samples]
+                                 + [s.tar_image for s in samples], IMAGE_MLP)
+        views.append((fuse(text_w, both[:b], fusion.VIEW_WCB), both[b:]))
+    return views
 
 
 def split_dataset(samples: list[TripletSample],
@@ -229,13 +248,19 @@ def _collect_epoch_losses(store: ParamStore, samples: list[TripletSample],
         raise DegenerateInputError(
             f"the epoch-scope filter needs at least 2 training pairs, "
             f"got {len(train_idx)}")
-    per_chunk = []
-    for chunk in _batches(np.asarray(train_idx), config.batch_size, fold_tail=True):
-        views = forward_batch(Tape(), store, [samples[i] for i in chunk],
-                              config.enable_wcb)
-        per_chunk.append([v.value[:, 0]
-                          for v in _loss_vectors(views, config.temperature)])
-    return [np.concatenate(view) for view in zip(*per_chunk)]
+    chunks = _batches(np.asarray(train_idx), config.batch_size, fold_tail=True)
+    embedded = [_embed(store, [samples[i] for i in chunk], config.enable_wcb)
+                for chunk in chunks]
+    # the full chunks' losses are one stacked (n, B, B) computation per view;
+    # a short or folded tail chunk, of another size, gets its own
+    n_full = len(chunks) - (len(chunks[-1]) != config.batch_size)
+    losses = []
+    for view in zip(*embedded):
+        parts = [zip(*part) for part in (view[:n_full], view[n_full:]) if part]
+        losses.append(np.concatenate([
+            fusion.nce_values(np.stack(qs), np.stack(ts), config.temperature).ravel()
+            for qs, ts in parts]))
+    return losses
 
 
 def _fit_and_label(loss_vectors: list[np.ndarray], theta: float
@@ -257,12 +282,11 @@ def _diagnostics(store: ParamStore) -> str:
 def evaluate_retrieval(store: ParamStore, samples: list[TripletSample],
                        enable_wcb: bool) -> dict[int, float]:
     """Recall@K over the holdout; similarity averaged across enabled views."""
-    tape = Tape()
-    views = forward_batch(tape, store, samples, enable_wcb)
+    views = _embed(store, samples, enable_wcb)
     sims = np.zeros((len(samples), len(samples)))
-    for q, t in views.pairs():
-        sims += cosine_similarity_matrix(q.value, t.value)
-    sims /= len(views.pairs())
+    for q, t in views:
+        sims += cosine_similarity_matrix(q, t)
+    sims /= len(views)
     n = len(samples)
     return {k: recall_from_similarity(sims, min(k, n)) for k in RECALL_KS}
 
@@ -294,23 +318,24 @@ def train_epoch(store: ParamStore, optimizer: Adam, samples: list[TripletSample]
     label_sum = 0.0
     label_n = 0
     for batch_no, chunk in enumerate(_batches(order, config.batch_size)):
-        tape = Tape()
-        views = forward_batch(tape, store, [samples[i] for i in chunk],
-                              config.enable_wcb)
-        vecs = _loss_vectors(views, config.temperature)
-        if not filtering:
-            labels = np.ones(len(chunk))
-        elif config.filter_scope == "batch":
-            labels = fit(chunk, [v.value[:, 0] for v in vecs])
-        else:
-            labels = pair_labels[chunk]
-        loss = fusion.masked_loss(vecs, labels)
-        if not np.isfinite(loss.value).all():
-            raise NumericalError(
-                f"non-finite loss at epoch {epoch} batch {batch_no}; "
-                f"param norms: {_diagnostics(store)}")
-        tape.backward(loss)
-        tape.accumulate_grads()
+        with Tape() as tape:
+            views = forward_batch(tape, store, [samples[i] for i in chunk],
+                                  config.enable_wcb)
+            vecs = [fusion.nce_per_sample(q, t, config.temperature)
+                    for q, t in views.pairs()]
+            if not filtering:
+                labels = np.ones(len(chunk))
+            elif config.filter_scope == "batch":
+                labels = fit(chunk, [v.value[:, 0] for v in vecs])
+            else:
+                labels = pair_labels[chunk]
+            loss = fusion.masked_loss(vecs, labels)
+            if not np.isfinite(loss.value).all():
+                raise NumericalError(
+                    f"non-finite loss at epoch {epoch} batch {batch_no}; "
+                    f"param norms: {_diagnostics(store)}")
+            tape.backward(loss)
+            tape.accumulate_grads()
         optimizer.step()
         losses.append(loss.scalar())
         label_sum += labels.sum()

@@ -19,23 +19,37 @@ TEXT_MLP = "wcb_text"
 IMAGE_MLP = "wcb_image"
 
 
+def _token_rows(bundles: list[TokenBundle]) -> tuple[np.ndarray, np.ndarray]:
+    """Attention-weighted non-global rows (B * (L-1), d), bundle by bundle, and
+    the global tokens (B, d) of B equal-shape bundles sharing a global_index."""
+    key = (bundles[0].global_index, bundles[0].tokens.shape, bundles[0].attention.shape)
+    if any((b.global_index, b.tokens.shape, b.attention.shape) != key for b in bundles):
+        raise ShapeError(
+            "compensate_batch requires equal-shape bundles with one global_index")
+    gi, (length, d) = key[0], key[1]
+    tokens = np.concatenate([b.tokens for b in bundles]).reshape(-1, length, d)
+    attention = np.concatenate([b.attention for b in bundles]).reshape(-1, length, 1)
+    weighted = attention * tokens
+    rows = np.concatenate([weighted[:, :gi], weighted[:, gi + 1:]], axis=1)
+    return rows.reshape(-1, d), tokens[:, gi]
+
+
 def compensate_batch(tape: Tape, store: ParamStore, bundles: list[TokenBundle],
                      name: str) -> Var:
     """Compensate B equal-shape bundles that share a global_index; returns (B, d).
 
-    The batch is stacked once: one broadcast multiply weights every token by
-    its attention, one delete drops the shared global row, the MLP runs over
-    all remaining rows and the max-pool works per bundle.
+    The MLP runs over all bundles' weighted rows at once; the max-pool works
+    per bundle.
     """
-    first = bundles[0]
-    if any(b.global_index != first.global_index
-           or b.tokens.shape != first.tokens.shape
-           or b.attention.shape != first.attention.shape for b in bundles):
-        raise ShapeError(
-            "compensate_batch requires equal-shape bundles with one global_index")
-    tokens = np.stack([b.tokens for b in bundles])          # (B, L, d)
-    attention = np.stack([b.attention for b in bundles])    # (B, L)
-    weighted = np.delete(attention[:, :, None] * tokens, first.global_index, axis=1)
-    x = tape.const(weighted.reshape(-1, tokens.shape[2]))
-    pooled = ad.maxpool_segments(ad.mlp_forward(x, store, name), len(bundles))
-    return ad.add(pooled, tape.const(tokens[:, first.global_index]))
+    rows, global_tokens = _token_rows(bundles)
+    pooled = ad.maxpool_segments(ad.mlp_forward(tape.const(rows), store, name),
+                                 len(bundles))
+    return ad.add(pooled, tape.const(global_tokens))
+
+
+def compensate_values(store: ParamStore, bundles: list[TokenBundle],
+                      name: str) -> np.ndarray:
+    """compensate_batch's values, without a tape."""
+    rows, global_tokens = _token_rows(bundles)
+    out = ad.mlp_apply(rows, store, name)
+    return out.reshape(len(bundles), -1, out.shape[1]).max(axis=1) + global_tokens

@@ -4,13 +4,19 @@ The composed autodiff ops below are the op-by-op building blocks the fused
 mlp_forward and the batched pooling and similarity ops replaced; no code in
 the package calls them. Each keeps its fault hook, so gradient-check tests
 can plant a fault in it.
+
+taped_epoch_losses and taped_retrieval are the trainer's no-grad passes as
+they ran on a tape, one forward_batch per chunk, before those passes became
+tape-free.
 """
 
 import numpy as np
 
-from noisycir.autodiff import _NORM_EPS, Var, _fault, _same_tape
+from noisycir import trainer
+from noisycir.autodiff import _NORM_EPS, Tape, Var, _fault, _same_tape
 from noisycir.errors import DegenerateInputError, ShapeError
 from noisycir.evaluation import cosine_similarity_matrix, recall_from_similarity
+from noisycir.fusion import nce_per_sample
 
 def matmul(a: Var, b: Var) -> Var:
     tape = _same_tape(a, b)
@@ -106,3 +112,26 @@ def recall_at_k(queries: np.ndarray, gallery: np.ndarray, k: int) -> float:
     if q.shape != g.shape:
         raise ShapeError("queries and gallery must align one-to-one")
     return recall_from_similarity(cosine_similarity_matrix(q, g), k)
+
+
+def taped_epoch_losses(store, samples, train_idx, config) -> list[np.ndarray]:
+    """Per-view detached losses over train_idx, one taped forward per chunk."""
+    per_chunk = []
+    for chunk in trainer._batches(np.asarray(train_idx), config.batch_size,
+                                  fold_tail=True):
+        views = trainer.forward_batch(Tape(), store, [samples[i] for i in chunk],
+                                      config.enable_wcb)
+        per_chunk.append([nce_per_sample(q, t, config.temperature).value[:, 0]
+                          for q, t in views.pairs()])
+    return [np.concatenate(view) for view in zip(*per_chunk)]
+
+
+def taped_retrieval(store, samples, enable_wcb) -> dict[int, float]:
+    """Recall@K over samples from one taped forward of the whole set."""
+    views = trainer.forward_batch(Tape(), store, samples, enable_wcb)
+    sims = np.zeros((len(samples), len(samples)))
+    for q, t in views.pairs():
+        sims += cosine_similarity_matrix(q.value, t.value)
+    sims /= len(views.pairs())
+    n = len(samples)
+    return {k: recall_from_similarity(sims, min(k, n)) for k in trainer.RECALL_KS}

@@ -478,3 +478,39 @@ class TestFlatParamStore:
         assert store.params["a"].shape == store.grads["a"].shape == (3, 1)
         assert not store.grads["a"].any()
         self._assert_views(store)
+
+
+class TestValueMath:
+    """The tape-free value functions over stacks of batches."""
+
+    def _stack(self, seed=3):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal((5, 6, 4)), rng.standard_normal((5, 6, 4))
+
+    def test_stacked_losses_equal_each_taped_batch_exactly(self):
+        q, t = self._stack()
+        tau = 0.07
+        sims = ad.cosine_values(q, t)[0]
+        losses = ad.xent_values(sims, tau)[0]
+        assert sims.shape == (5, 6, 6) and losses.shape == (5, 6, 1)
+        for i in range(q.shape[0]):
+            with Tape() as tape:
+                taped_sims = ad.cosine_matrix(tape.const(q[i]), tape.const(t[i]))
+                taped = ad.softmax_xent_rows(taped_sims, tau)
+            assert np.array_equal(sims[i], taped_sims.value)
+            assert np.array_equal(losses[i], taped.value)
+
+    def test_mlp_apply_equals_taped_mlp_exactly(self):
+        store = ParamStore()
+        store.init_mlp("m", 4, 5, 3, np.random.default_rng(1))
+        x = np.random.default_rng(2).standard_normal((7, 4))
+        with Tape() as tape:
+            taped = ad.mlp_forward(tape.const(x), store, "m")
+        assert np.array_equal(ad.mlp_apply(x, store, "m"), taped.value)
+
+    @pytest.mark.parametrize("side", ["q", "t"])
+    def test_near_zero_row_inside_a_stack_raises(self, side):
+        q, t = self._stack()
+        (q if side == "q" else t)[3, 2] = 1e-14
+        with pytest.raises(DegenerateInputError):
+            ad.cosine_values(q, t)

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import struct
 
 import numpy as np
@@ -83,6 +85,19 @@ def test_failed_write_leaves_no_partial_file(tmp_path):
     with pytest.raises(OSError):
         write_dataset(samples, SPEC, str(target_dir / "data.ncld"))
     assert not target_dir.exists()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_written_files_follow_the_umask(tmp_path, umask):
+    # like open(path, "wb"): mode 0o666 less the umask, not mkstemp's 0o600
+    previous = os.umask(umask)
+    try:
+        write_dataset(generate_dataset(SPEC), SPEC, str(tmp_path / "data.ncld"))
+    finally:
+        os.umask(previous)
+    mode = stat.S_IMODE(os.stat(tmp_path / "data.ncld").st_mode)
+    assert mode == 0o666 & ~umask
+    assert [p.name for p in tmp_path.iterdir()] == ["data.ncld"]
 
 
 def test_weights_round_trip(tmp_path):

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -8,8 +10,10 @@ from noisycir.autodiff import Tape
 from noisycir.errors import ConfigError
 from noisycir.synth import DatasetSpec, generate_dataset
 from noisycir.trainer import (Adam, TrainConfig, _collect_epoch_losses,
-                              _fit_and_label, forward_batch, init_params,
-                              run_training, split_dataset, train_epoch)
+                              _fit_and_label, evaluate_retrieval, forward_batch,
+                              init_params, run_training, split_dataset,
+                              train_epoch)
+from tests import oracles
 
 SMALL_SPEC = DatasetSpec(num_concepts=8, dim=16, text_tokens=4, image_patches=8,
                          num_triplets=120, mismatch_rate=0.3, seed=11)
@@ -287,3 +291,93 @@ class TestFilterPath:
         _, rows = train_epoch(store, opt, small_dataset, train_idx, eval_idx,
                               cfg, epoch=cfg.warmup_epochs)
         assert [r.n_matched + r.n_mismatched for r in rows] == [n, n]
+
+
+def _trained_store(dataset, epochs=1):
+    """Parameters after a short run, so the passes see non-initial weights."""
+    cfg = dataclasses.replace(SMALL_CFG, epochs=epochs)
+    return run_training(dataset, cfg).store
+
+
+class TestNoGradPasses:
+    @pytest.mark.parametrize("residue", [0, 1, 7])
+    @pytest.mark.parametrize("enable_wcb", [True, False], ids=["wcb", "no_wcb"])
+    def test_epoch_losses_equal_taped_pass_exactly(self, small_dataset,
+                                                   enable_wcb, residue):
+        # full chunks are stacked; a tail of 1 folds into the chunk before
+        # it and a tail of 7 stands alone, and neither may change a bit
+        store = _trained_store(small_dataset)
+        cfg = dataclasses.replace(SMALL_CFG, enable_wcb=enable_wcb)
+        train_idx, _ = split_dataset(small_dataset, cfg)
+        n = 4 * cfg.batch_size + residue
+        assert len(train_idx) >= n
+        idx = train_idx[:n]
+        got = _collect_epoch_losses(store, small_dataset, idx, cfg)
+        want = oracles.taped_epoch_losses(store, small_dataset, idx, cfg)
+        assert len(got) == len(want) == (2 if enable_wcb else 1)
+        for g, w in zip(got, want):
+            assert g.shape == (n,)
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("enable_wcb", [True, False], ids=["wcb", "no_wcb"])
+    def test_retrieval_equals_taped_eval_exactly(self, small_dataset, enable_wcb):
+        store = _trained_store(small_dataset)
+        _, eval_idx = split_dataset(small_dataset, SMALL_CFG)
+        held = [small_dataset[i] for i in eval_idx]
+        assert (evaluate_retrieval(store, held, enable_wcb)
+                == oracles.taped_retrieval(store, held, enable_wcb))
+
+    def test_no_grad_passes_build_no_tape(self, small_dataset, monkeypatch):
+        made = []
+        init = Tape.__init__
+        monkeypatch.setattr(Tape, "__init__",
+                            lambda self: made.append(1) or init(self))
+        store = init_params(SMALL_SPEC.dim, 0)
+        train_idx, eval_idx = split_dataset(small_dataset, SMALL_CFG)
+        _collect_epoch_losses(store, small_dataset, train_idx, SMALL_CFG)
+        evaluate_retrieval(store, [small_dataset[i] for i in eval_idx], True)
+        assert made == []
+
+
+class TestTapeLifetime:
+    @pytest.mark.parametrize("scope", ["epoch", "batch"])
+    def test_every_step_tape_is_freed_without_the_cyclic_collector(
+            self, small_dataset, monkeypatch, scope):
+        refs = []
+
+        class RecordingTape(Tape):
+            def __init__(self):
+                super().__init__()
+                refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(trainer, "Tape", RecordingTape)
+        cfg = dataclasses.replace(SMALL_CFG, filter_scope=scope)
+        store = init_params(SMALL_SPEC.dim, 0)
+        opt = Adam(store, {"wcb": 1e-3, "other": 1e-3})
+        train_idx, eval_idx = split_dataset(small_dataset, cfg)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            train_epoch(store, opt, small_dataset, train_idx, eval_idx, cfg,
+                        epoch=cfg.warmup_epochs)
+            alive = sum(ref() is not None for ref in refs)
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert len(refs) == len(trainer._batches(np.asarray(train_idx),
+                                                 cfg.batch_size))
+        assert alive == 0
+
+    def test_closing_a_tape_cuts_its_graph(self):
+        store = init_params(SMALL_SPEC.dim, 0)
+        samples = generate_dataset(SMALL_SPEC)[:8]
+        with Tape() as tape:
+            views = forward_batch(tape, store, samples, enable_wcb=True)
+            loss = trainer.fusion.soft_nce_loss(
+                views.q, views.t, views.q_wcb, views.t_wcb, np.ones(8),
+                SMALL_CFG.temperature)
+            tape.backward(loss)
+            nodes = list(tape._nodes)
+        assert tape._nodes == [] and not tape._params
+        assert all(v.tape is None and v._backward is None for v in nodes)
+        assert np.isfinite(loss.scalar())

@@ -18,11 +18,11 @@ A ParamStore keeps all parameters in one contiguous buffer and all
 gradients in another; params[name] and grads[name] are reshaped views into
 them, so zeroing the gradients and an optimizer update each touch one array.
 
-Graph lifetime: a tape, its Vars and their closures point at each other.
-Used as a context manager, a Tape cuts those links when the block ends, so
-reference counting frees the step's graph at once. No-grad passes build no
-graph: they call the value functions the taped ops use (mlp_values,
-cosine_values, xent_values), which work over stacks of batches.
+Graph lifetime: a tape, its Vars and their closures point at each other; a
+Tape used as a context manager cuts those links when the block ends, so
+reference counting frees the graph. The taped ops take their values from
+array functions (mlp_values; cosine_values and xent_values, which also work
+over stacks of batches).
 """
 
 from __future__ import annotations
@@ -180,12 +180,6 @@ def mlp_values(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
     """Linear -> ReLU -> linear: (output, hidden activations)."""
     h = np.maximum(x @ w1 + b1, 0.0)
     return h @ w2 + b2, h
-
-
-def mlp_apply(x: np.ndarray, store: ParamStore, name: str) -> np.ndarray:
-    """mlp_forward's output values, without a tape."""
-    return mlp_values(x, *(store.params[f"{name}.{p}"]
-                           for p in ("W1", "b1", "W2", "b2")))[0]
 
 
 def cosine_values(q: np.ndarray, t: np.ndarray):

@@ -45,12 +45,6 @@ def nce_per_sample(queries: Var, targets: Var, tau: float) -> Var:
     return ad.softmax_xent_rows(sims, tau)
 
 
-def nce_values(queries: np.ndarray, targets: np.ndarray, tau: float) -> np.ndarray:
-    """nce_per_sample's losses without a tape, over the last two axes: a
-    (..., B, d) stack of batches yields (..., B)."""
-    return ad.xent_values(ad.cosine_values(queries, targets)[0], tau)[0][..., 0]
-
-
 def soft_nce_loss(queries: Var, targets: Var, queries_wcb: Var, targets_wcb: Var,
                   labels: np.ndarray, tau: float) -> Var:
     """Label-masked mean of the two views' per-sample losses (scalar Var)."""

@@ -9,8 +9,8 @@ contrastive loss, and a grouped-learning-rate Adam step follows. Retrieval
 is evaluated on a clean holdout; filter quality against the synthetic
 ground-truth noise flags.
 
-Each step's tape is freed when the step ends. The epoch-scope loss pass and
-the holdout evaluation need no gradients and build no tape.
+Every tape is freed when its step or no-grad chunk ends; the epoch-scope loss
+pass then computes all full chunks' losses in one stacked call.
 """
 
 from __future__ import annotations
@@ -21,13 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fusion, nfb
-from .autodiff import ParamStore, Tape, Var, mlp_apply, slice_rows
+from .autodiff import (ParamStore, Tape, Var, cosine_values, slice_rows,
+                       xent_values)
 from .errors import (ConfigError, DegenerateInputError, NumericalError,
                      check_seed_and_floats)
 from .evaluation import (FilterScore, cosine_similarity_matrix, evaluate_filter,
                          recall_from_similarity)
 from .synth import TripletSample
-from .wcb import IMAGE_MLP, TEXT_MLP, compensate_batch, compensate_values
+from .wcb import IMAGE_MLP, TEXT_MLP, compensate_batch
 
 RECALL_KS = (1, 10, 50)
 
@@ -191,26 +192,6 @@ def forward_batch(tape: Tape, store: ParamStore, samples: list[TripletSample],
     return views
 
 
-def _embed(store: ParamStore, samples: list[TripletSample],
-           enable_wcb: bool) -> list[tuple[np.ndarray, np.ndarray]]:
-    """forward_batch's (query, target) values per view, without a tape."""
-    def fuse(text, image, view):
-        return mlp_apply(np.concatenate([text, image], axis=1), store,
-                         fusion.FUSION_MLP[view])
-
-    text_g, ref_g, tar_g = (np.stack([s.mod_text.global_token() for s in samples]),
-                            np.stack([s.ref_image.global_token() for s in samples]),
-                            np.stack([s.tar_image.global_token() for s in samples]))
-    views = [(fuse(text_g, ref_g, fusion.VIEW_GLOBAL), tar_g)]
-    if enable_wcb:
-        b = len(samples)
-        text_w = compensate_values(store, [s.mod_text for s in samples], TEXT_MLP)
-        both = compensate_values(store, [s.ref_image for s in samples]
-                                 + [s.tar_image for s in samples], IMAGE_MLP)
-        views.append((fuse(text_w, both[:b], fusion.VIEW_WCB), both[b:]))
-    return views
-
-
 def split_dataset(samples: list[TripletSample],
                   config: TrainConfig) -> tuple[list[int], list[int]]:
     """Holdout a clean evaluation split; everything else trains."""
@@ -249,16 +230,20 @@ def _collect_epoch_losses(store: ParamStore, samples: list[TripletSample],
             f"the epoch-scope filter needs at least 2 training pairs, "
             f"got {len(train_idx)}")
     chunks = _batches(np.asarray(train_idx), config.batch_size, fold_tail=True)
-    embedded = [_embed(store, [samples[i] for i in chunk], config.enable_wcb)
-                for chunk in chunks]
-    # the full chunks' losses are one stacked (n, B, B) computation per view;
-    # a short or folded tail chunk, of another size, gets its own
+    embedded = []
+    for chunk in chunks:
+        with Tape() as tape:
+            views = forward_batch(tape, store, [samples[i] for i in chunk],
+                                  config.enable_wcb)
+        embedded.append([(q.value, t.value) for q, t in views.pairs()])
+    # one stacked (n, B, B) loss call per view; a tail of another size goes alone
     n_full = len(chunks) - (len(chunks[-1]) != config.batch_size)
     losses = []
     for view in zip(*embedded):
         parts = [zip(*part) for part in (view[:n_full], view[n_full:]) if part]
         losses.append(np.concatenate([
-            fusion.nce_values(np.stack(qs), np.stack(ts), config.temperature).ravel()
+            xent_values(cosine_values(np.stack(qs), np.stack(ts))[0],
+                        config.temperature)[0].ravel()
             for qs, ts in parts]))
     return losses
 
@@ -282,11 +267,12 @@ def _diagnostics(store: ParamStore) -> str:
 def evaluate_retrieval(store: ParamStore, samples: list[TripletSample],
                        enable_wcb: bool) -> dict[int, float]:
     """Recall@K over the holdout; similarity averaged across enabled views."""
-    views = _embed(store, samples, enable_wcb)
+    with Tape() as tape:
+        views = forward_batch(tape, store, samples, enable_wcb)
     sims = np.zeros((len(samples), len(samples)))
-    for q, t in views:
-        sims += cosine_similarity_matrix(q, t)
-    sims /= len(views)
+    for q, t in views.pairs():
+        sims += cosine_similarity_matrix(q.value, t.value)
+    sims /= len(views.pairs())
     n = len(samples)
     return {k: recall_from_similarity(sims, min(k, n)) for k in RECALL_KS}
 

@@ -46,10 +46,3 @@ def compensate_batch(tape: Tape, store: ParamStore, bundles: list[TokenBundle],
                                  len(bundles))
     return ad.add(pooled, tape.const(global_tokens))
 
-
-def compensate_values(store: ParamStore, bundles: list[TokenBundle],
-                      name: str) -> np.ndarray:
-    """compensate_batch's values, without a tape."""
-    rows, global_tokens = _token_rows(bundles)
-    out = ad.mlp_apply(rows, store, name)
-    return out.reshape(len(bundles), -1, out.shape[1]).max(axis=1) + global_tokens

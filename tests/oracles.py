@@ -5,9 +5,8 @@ mlp_forward and the batched pooling and similarity ops replaced; no code in
 the package calls them. Each keeps its fault hook, so gradient-check tests
 can plant a fault in it.
 
-taped_epoch_losses and taped_retrieval are the trainer's no-grad passes as
-they ran on a tape, one forward_batch per chunk, before those passes became
-tape-free.
+taped_epoch_losses is the trainer's epoch-scope loss pass as it ran before
+its losses were stacked: one forward_batch and one nce_per_sample per chunk.
 """
 
 import numpy as np
@@ -125,13 +124,3 @@ def taped_epoch_losses(store, samples, train_idx, config) -> list[np.ndarray]:
                           for q, t in views.pairs()])
     return [np.concatenate(view) for view in zip(*per_chunk)]
 
-
-def taped_retrieval(store, samples, enable_wcb) -> dict[int, float]:
-    """Recall@K over samples from one taped forward of the whole set."""
-    views = trainer.forward_batch(Tape(), store, samples, enable_wcb)
-    sims = np.zeros((len(samples), len(samples)))
-    for q, t in views.pairs():
-        sims += cosine_similarity_matrix(q.value, t.value)
-    sims /= len(views.pairs())
-    n = len(samples)
-    return {k: recall_from_similarity(sims, min(k, n)) for k in trainer.RECALL_KS}

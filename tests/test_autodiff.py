@@ -481,7 +481,7 @@ class TestFlatParamStore:
 
 
 class TestValueMath:
-    """The tape-free value functions over stacks of batches."""
+    """The value functions of the taped ops, over stacks of batches."""
 
     def _stack(self, seed=3):
         rng = np.random.default_rng(seed)
@@ -499,14 +499,6 @@ class TestValueMath:
                 taped = ad.softmax_xent_rows(taped_sims, tau)
             assert np.array_equal(sims[i], taped_sims.value)
             assert np.array_equal(losses[i], taped.value)
-
-    def test_mlp_apply_equals_taped_mlp_exactly(self):
-        store = ParamStore()
-        store.init_mlp("m", 4, 5, 3, np.random.default_rng(1))
-        x = np.random.default_rng(2).standard_normal((7, 4))
-        with Tape() as tape:
-            taped = ad.mlp_forward(tape.const(x), store, "m")
-        assert np.array_equal(ad.mlp_apply(x, store, "m"), taped.value)
 
     @pytest.mark.parametrize("side", ["q", "t"])
     def test_near_zero_row_inside_a_stack_raises(self, side):

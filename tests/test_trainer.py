@@ -10,9 +10,8 @@ from noisycir.autodiff import Tape
 from noisycir.errors import ConfigError
 from noisycir.synth import DatasetSpec, generate_dataset
 from noisycir.trainer import (Adam, TrainConfig, _collect_epoch_losses,
-                              _fit_and_label, evaluate_retrieval, forward_batch,
-                              init_params, run_training, split_dataset,
-                              train_epoch)
+                              _fit_and_label, forward_batch, init_params,
+                              run_training, split_dataset, train_epoch)
 from tests import oracles
 
 SMALL_SPEC = DatasetSpec(num_concepts=8, dim=16, text_tokens=4, image_patches=8,
@@ -319,36 +318,21 @@ class TestNoGradPasses:
             assert g.shape == (n,)
             assert np.array_equal(g, w)
 
-    @pytest.mark.parametrize("enable_wcb", [True, False], ids=["wcb", "no_wcb"])
-    def test_retrieval_equals_taped_eval_exactly(self, small_dataset, enable_wcb):
-        store = _trained_store(small_dataset)
-        _, eval_idx = split_dataset(small_dataset, SMALL_CFG)
-        held = [small_dataset[i] for i in eval_idx]
-        assert (evaluate_retrieval(store, held, enable_wcb)
-                == oracles.taped_retrieval(store, held, enable_wcb))
-
-    def test_no_grad_passes_build_no_tape(self, small_dataset, monkeypatch):
-        made = []
-        init = Tape.__init__
-        monkeypatch.setattr(Tape, "__init__",
-                            lambda self: made.append(1) or init(self))
-        store = init_params(SMALL_SPEC.dim, 0)
-        train_idx, eval_idx = split_dataset(small_dataset, SMALL_CFG)
-        _collect_epoch_losses(store, small_dataset, train_idx, SMALL_CFG)
-        evaluate_retrieval(store, [small_dataset[i] for i in eval_idx], True)
-        assert made == []
-
 
 class TestTapeLifetime:
     @pytest.mark.parametrize("scope", ["epoch", "batch"])
-    def test_every_step_tape_is_freed_without_the_cyclic_collector(
+    def test_every_tape_is_freed_without_the_cyclic_collector(
             self, small_dataset, monkeypatch, scope):
-        refs = []
+        refs, replayed = [], []
 
         class RecordingTape(Tape):
             def __init__(self):
                 super().__init__()
                 refs.append(weakref.ref(self))
+
+            def backward(self, loss):
+                replayed.append(1)
+                super().backward(loss)
 
         monkeypatch.setattr(trainer, "Tape", RecordingTape)
         cfg = dataclasses.replace(SMALL_CFG, filter_scope=scope)
@@ -364,8 +348,14 @@ class TestTapeLifetime:
         finally:
             if was_enabled:
                 gc.enable()
-        assert len(refs) == len(trainer._batches(np.asarray(train_idx),
-                                                 cfg.batch_size))
+        idx = np.asarray(train_idx)
+        steps = len(trainer._batches(idx, cfg.batch_size))
+        loss_pass = (len(trainer._batches(idx, cfg.batch_size, fold_tail=True))
+                     if scope == "epoch" else 0)
+        # one tape per step, per loss-pass chunk and for the holdout eval;
+        # only the steps' tapes are replayed
+        assert len(refs) == steps + loss_pass + 1
+        assert len(replayed) == steps
         assert alive == 0
 
     def test_closing_a_tape_cuts_its_graph(self):

@@ -8,7 +8,7 @@ from noisycir.autodiff import ParamStore, Tape, Var
 from noisycir.errors import ShapeError
 from noisycir.synth import DatasetSpec, TokenBundle, TripletSample, generate_dataset
 from noisycir.trainer import init_params
-from noisycir.wcb import IMAGE_MLP, TEXT_MLP, compensate_batch, compensate_values
+from noisycir.wcb import IMAGE_MLP, TEXT_MLP, compensate_batch
 from tests import oracles
 from tests.test_autodiff import assert_grads_match
 
@@ -218,7 +218,7 @@ class TestCompensateAll:
         assert np.array_equal(batch, oracle)
 
     @pytest.mark.parametrize("global_index", [0, 3, 6])
-    def test_taped_and_tape_free_paths_equal_the_oracle_at_any_global_row(
+    def test_batch_equals_the_oracle_at_any_global_row(
             self, global_index):
         rng = np.random.default_rng(global_index)
         store = init_params(SPEC.dim, 1)
@@ -230,7 +230,6 @@ class TestCompensateAll:
             [compensate_bundle(tape, store, b).vector.value for b in bundles])
         assert np.array_equal(compensate_batch(tape, store, bundles, IMAGE_MLP).value,
                               oracle)
-        assert np.array_equal(compensate_values(store, bundles, IMAGE_MLP), oracle)
 
     def test_batch_rejects_mixed_global_index(self):
         samples = generate_dataset(SPEC)

@@ -409,10 +409,11 @@ def grad_check(f, store: ParamStore, step: float = 1e-6,
         raise ValueError("step must be positive")
     store.zero_grads()
     out = f(store)
-    if not np.isfinite(out.value).all():
-        raise NumericalError("gradient check target evaluated non-finite")
-    out.tape.backward(out)
-    out.tape.accumulate_grads()
+    with out.tape:  # every tape is closed, so reference counting frees it
+        if not np.isfinite(out.value).all():
+            raise NumericalError("gradient check target evaluated non-finite")
+        out.tape.backward(out)
+        out.tape.accumulate_grads()
     analytic = {k: v.copy() for k, v in store.grads.items()}
 
     max_rel = 0.0
@@ -428,9 +429,11 @@ def grad_check(f, store: ParamStore, step: float = 1e-6,
         for j in range(flat.size):
             orig = flat[j]
             flat[j] = orig + step
-            f_hi = f(store).scalar()
+            with (out := f(store)).tape:
+                f_hi = out.scalar()
             flat[j] = orig - step
-            f_lo = f(store).scalar()
+            with (out := f(store)).tape:
+                f_lo = out.scalar()
             flat[j] = orig
             num = (f_hi - f_lo) / (2.0 * step)
             ana = aflat[j]

@@ -27,7 +27,7 @@ from .config import RunConfig, load_run_config
 from .errors import ConfigError, DataFormatError, DegenerateInputError, NumericalError
 from .storage import _atomic_write, read_dataset, write_dataset, write_weights
 from .synth import generate_dataset
-from .trainer import (ABLATION_VARIANTS, TrainConfig, forward_batch, init_params,
+from .trainer import (ABLATION_VARIANTS, FilterReportRow, forward_batch, init_params,
                       run_ablation, run_training)
 
 EXIT_OK = 0
@@ -89,9 +89,7 @@ def cmd_generate(args) -> int:
 _SUMMARY_COLUMNS = ["epoch", "train_loss", "label1_fraction", "recall_at_1",
                     "recall_at_10", "recall_at_50", "filter_precision",
                     "filter_recall", "filter_f1"]
-_FILTER_COLUMNS = ["epoch", "view", "mu0", "mu1", "sigma0", "sigma1", "pi0",
-                   "n_matched", "n_mismatched", "n_partial",
-                   "precision", "recall", "f1"]
+_FILTER_COLUMNS = [f.name for f in dataclasses.fields(FilterReportRow)]
 _ABLATION_COLUMNS = ["variant", "R@1", "R@10", "R@50", "Avg"]
 
 
@@ -122,15 +120,11 @@ def cmd_train(args) -> int:
 
     result = run_training(samples, cfg.train)
 
-    epoch_lines = []
-    for rec in result.records:
-        row = _record_row(rec)
-        epoch_lines.append(json.dumps(row, sort_keys=True))
+    rows = [_record_row(rec) for rec in result.records]
     _atomic_write_text(os.path.join(args.out, "epochs.jsonl"),
-                       "".join(line + "\n" for line in epoch_lines))
+                       "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
     _atomic_write_text(os.path.join(args.out, "summary.csv"),
-                       _csv([_record_row(r) for r in result.records],
-                            _SUMMARY_COLUMNS))
+                       _csv(rows, _SUMMARY_COLUMNS))
     if cfg.train.enable_nfb:
         _atomic_write_text(os.path.join(args.out, "filter_report.csv"),
                            _csv([dataclasses.asdict(r) for r in result.filter_rows],

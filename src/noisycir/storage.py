@@ -2,17 +2,26 @@
 
 Layout (little-endian throughout):
     magic (4 bytes) | version u16 | header_len u32 | JSON header |
-    float64 payload | crc32 of payload (u32)
+    float64 payload | crc32 of every byte before it (u32)
 
-Datasets use magic "NCLD", weight files "NCLW". Writes stream the header
-and then each array, with a running checksum, to a temp file in the target
-directory, which is renamed into place, so the file is never held in memory
-whole and a failed write never leaves a partial artifact.
+Datasets use magic "NCLD". Their header is exactly {"kind", "spec",
+"n_samples"}; the payload is one fixed-stride record per sample: tokens
+then attention for the text, reference and target bundles, then
+[truth code, reference concept, target concept], with truth codes indexing
+_TRUTHS. Weight files use magic "NCLW". Their header is exactly {"kind",
+"params", "extra"}, each parameter {"name", "shape", "group"}; the payload
+is the parameters in that order, so offsets follow from the shapes.
 
-The header is not under the checksum, so readers validate every header
-field they use: types, keys, and that payload_bytes and the offsets are
-exactly what the header's counts and shapes imply. Any malformed file
-raises DataFormatError.
+Writes stream the header and each array, with a running checksum, to a temp
+file in the target directory that is renamed into place: the file is never
+held in memory whole, and a failed write leaves no partial artifact.
+
+Readers check the magic, the version and the checksum, then validate every
+field they use: exact key sets and JSON types, the payload size against
+what the spec or the shapes imply, truth codes and concept ids against
+their ranges. Any malformed file raises DataFormatError. Version 1 files,
+whose checksum left the header out, are not read; `noisycir generate`
+rewrites a dataset deterministically from its spec.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ from .synth import (TRUTH_CLEAN, TRUTH_MISMATCHED, TRUTH_PARTIAL, DatasetSpec,
 
 MAGIC_DATASET = b"NCLD"
 MAGIC_WEIGHTS = b"NCLW"
-VERSION = 1
+VERSION = 2
 
 _TRUTHS = (TRUTH_CLEAN, TRUTH_PARTIAL, TRUTH_MISMATCHED)
 
@@ -59,45 +68,46 @@ def _atomic_write(path: str, chunks: Iterable[bytes]) -> None:
 def _container(magic: bytes, header: dict,
                arrays: Iterable[np.ndarray]) -> Iterator[bytes]:
     """The file's bytes in order: preamble, header, each array as float64,
-    then the CRC32 of the arrays' bytes, computed as they stream past."""
+    then the CRC32 of all of them, computed as they stream past."""
     hdr = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    yield magic + struct.pack("<HI", VERSION, len(hdr)) + hdr
-    crc = 0
+    head = magic + struct.pack("<HI", VERSION, len(hdr)) + hdr
+    crc = zlib.crc32(head)
+    yield head
     for arr in arrays:
         raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
         crc = zlib.crc32(raw, crc)
         yield raw
-    yield struct.pack("<I", crc & 0xFFFFFFFF)
+    yield struct.pack("<I", crc)
 
 
-def _unpack(blob: bytes, magic: bytes) -> tuple[dict, memoryview]:
-    if len(blob) < 10:
+def _read(path: str, magic: bytes, kind: str, keys: set[str]) -> tuple[dict, memoryview]:
+    """The file's header, with exactly the given keys, and its payload."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if len(blob) < 14:
         raise DataFormatError("truncated file: preamble incomplete")
     if blob[:4] != magic:
         raise DataFormatError(f"bad magic: expected {magic!r}")
+    # before the checksum: version 1's covered the payload alone
     (version,) = struct.unpack("<H", blob[4:6])
     if version != VERSION:
-        raise DataFormatError(f"unsupported version {version}")
+        raise DataFormatError(f"unsupported version {version}; regenerate the "
+                              "file with `noisycir generate`")
+    body = memoryview(blob)[:-4]
+    if struct.unpack("<I", blob[-4:])[0] != zlib.crc32(body):
+        raise DataFormatError("checksum mismatch")
     (hdr_len,) = struct.unpack("<I", blob[6:10])
-    if len(blob) < 10 + hdr_len + 4:
+    if 10 + hdr_len > len(body):
         raise DataFormatError("truncated file: header incomplete")
     try:
         header = json.loads(blob[10:10 + hdr_len].decode("utf-8"))
     except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
         raise DataFormatError(f"unreadable header: {exc}") from None
-    if not isinstance(header, dict):
-        raise DataFormatError("header is not a JSON object")
-    payload_len = _get(header, "payload_bytes", int)
-    end = 10 + hdr_len + payload_len
-    if payload_len < 0 or len(blob) < end + 4:
-        raise DataFormatError("truncated file: payload incomplete")
-    if len(blob) > end + 4:
-        raise DataFormatError("trailing bytes after checksum")
-    payload = memoryview(blob)[10 + hdr_len:end]
-    (crc,) = struct.unpack("<I", blob[end:end + 4])
-    if crc != (zlib.crc32(payload) & 0xFFFFFFFF):
-        raise DataFormatError("checksum mismatch")
-    return header, payload
+    if not isinstance(header, dict) or set(header) != keys:
+        raise DataFormatError(f"header must hold exactly the keys {sorted(keys)}")
+    if header["kind"] != kind:
+        raise DataFormatError(f"not a {kind} file")
+    return header, body[10 + hdr_len:]
 
 
 def _get(obj: dict, key: str, kind: type, where: str = "header"):
@@ -131,114 +141,79 @@ def _spec_from_header(header: dict) -> DatasetSpec:
 
 
 def _sample_arrays(s: TripletSample) -> list[np.ndarray]:
-    """A sample's arrays in file order: tokens then attention, per bundle."""
+    """A sample's record in file order: tokens then attention, per bundle,
+    then its truth code and concept ids."""
     return [a for b in (s.mod_text, s.ref_image, s.tar_image)
-            for a in (b.tokens, b.attention)]
+            for a in (b.tokens, b.attention)] + [
+        np.array([_TRUTHS.index(s.truth), *s.concept_ids], dtype=np.float64)]
+
+
+def _codes(values: np.ndarray, limit: int, what: str) -> list:
+    """values as Python ints; each must be a whole number in [0, limit)."""
+    bad = np.argwhere(~((values >= 0) & (values < limit) & (values == np.floor(values))))
+    if bad.size:
+        i = bad[0][0]
+        raise DataFormatError(f"sample {i}: bad {what} {values[i].tolist()!r}")
+    return values.astype(np.int64).tolist()
 
 
 def write_dataset(samples: list[TripletSample], spec: DatasetSpec, path: str) -> None:
-    offsets: list[int] = []
-    pos = 0
-    for s in samples:
-        offsets.append(pos)
-        pos += 8 * sum(a.size for a in _sample_arrays(s))
-    header = {
-        "kind": "dataset",
-        "spec": dataclasses.asdict(spec),
-        "n_samples": len(samples),
-        "dims": {"n": spec.text_tokens, "m": spec.image_patches, "d": spec.dim},
-        "samples": [{"truth": s.truth, "concept_ids": list(s.concept_ids)}
-                    for s in samples],
-        "offsets": offsets,
-        "payload_bytes": pos,
-    }
+    header = {"kind": "dataset", "spec": dataclasses.asdict(spec),
+              "n_samples": len(samples)}
     arrays = (a for s in samples for a in _sample_arrays(s))
     _atomic_write(path, _container(MAGIC_DATASET, header, arrays))
 
 
 def read_dataset(path: str) -> tuple[list[TripletSample], DatasetSpec]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    header, payload = _unpack(blob, MAGIC_DATASET)
-    if header.get("kind") != "dataset":
-        raise DataFormatError("not a dataset file")
+    header, payload = _read(path, MAGIC_DATASET, "dataset",
+                            {"kind", "spec", "n_samples"})
     spec = _spec_from_header(header)
     n, m, d = spec.text_tokens, spec.image_patches, spec.dim
-    if _get(header, "dims", dict) != {"n": n, "m": m, "d": d}:
-        raise DataFormatError("dims disagree with spec")
     # floats per bundle: tokens then attention, for the text and two images
     sizes = [(n + 2) * d, n + 2, (m + 1) * d, m + 1, (m + 1) * d, m + 1]
-    stride = sum(sizes)
+    stride = sum(sizes) + 3
     n_samples = _get(header, "n_samples", int)
-    metas = _get(header, "samples", list)
-    offsets = _get(header, "offsets", list)
-    if n_samples < 0 or len(metas) != n_samples:
-        raise DataFormatError("samples list disagrees with n_samples")
-    if (any(type(o) is not int for o in offsets)
-            or offsets != [i * stride * 8 for i in range(n_samples)]):
-        raise DataFormatError("offsets disagree with n_samples and spec")
-    if header["payload_bytes"] != n_samples * stride * 8:
-        raise DataFormatError("payload_bytes disagrees with n_samples and spec")
+    if n_samples < 0 or len(payload) != n_samples * stride * 8:
+        raise DataFormatError("payload size disagrees with n_samples and spec")
 
+    rows = np.frombuffer(payload, dtype="<f8").reshape(n_samples, stride)
+    truths = _codes(rows[:, -3], len(_TRUTHS), "truth code")
+    concept_ids = _codes(rows[:, -2:], spec.num_concepts, "concept ids")
     # Each array is copied on its own: small copies reuse freed heap memory,
     # where one copy of the whole payload would raise the peak footprint.
-    rows = np.frombuffer(payload, dtype="<f8").reshape(n_samples, stride)
     bounds = np.cumsum([0] + sizes)
     samples: list[TripletSample] = []
-    for i, meta in enumerate(metas):
-        if not isinstance(meta, dict) or set(meta) != {"truth", "concept_ids"}:
-            raise DataFormatError(f"sample {i}: malformed metadata")
-        truth = meta["truth"]
-        if truth not in _TRUTHS:
-            raise DataFormatError(f"sample {i}: unknown truth {truth!r}")
-        ids = meta["concept_ids"]
-        if (not isinstance(ids, list) or len(ids) != 2
-                or any(type(c) is not int or not 0 <= c < spec.num_concepts
-                       for c in ids)):
-            raise DataFormatError(f"sample {i}: bad concept_ids {ids!r}")
+    for i in range(n_samples):
         mod_t, mod_a, ref_t, ref_a, tar_t, tar_a = (
             rows[i, a:b].copy() for a, b in zip(bounds[:-1], bounds[1:]))
         samples.append(TripletSample(
             mod_text=TokenBundle(mod_t.reshape(n + 2, d), mod_a, n + 1, "text"),
             ref_image=TokenBundle(ref_t.reshape(m + 1, d), ref_a, 0, "image"),
             tar_image=TokenBundle(tar_t.reshape(m + 1, d), tar_a, 0, "image"),
-            truth=truth,
-            concept_ids=tuple(ids),
+            truth=_TRUTHS[truths[i]],
+            concept_ids=tuple(concept_ids[i]),
         ))
     return samples, spec
 
 
 def write_weights(store: ParamStore, path: str, extra: dict | None = None) -> None:
-    entries: list[dict] = []
-    pos = 0
-    for name in store.names():
-        shape = store.params[name].shape
-        entries.append({"name": name, "shape": list(shape),
-                        "group": store.groups[name], "offset": pos})
-        pos += 8 * math.prod(shape)
-    header = {
-        "kind": "weights",
-        "params": entries,
-        "payload_bytes": pos,
-        "extra": extra or {},
-    }
+    params = [{"name": name, "shape": list(store.params[name].shape),
+               "group": store.groups[name]} for name in store.names()]
+    header = {"kind": "weights", "params": params, "extra": extra or {}}
     arrays = (store.params[name] for name in store.names())
     _atomic_write(path, _container(MAGIC_WEIGHTS, header, arrays))
 
 
 def read_weights(path: str) -> ParamStore:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    header, payload = _unpack(blob, MAGIC_WEIGHTS)
-    if header.get("kind") != "weights":
-        raise DataFormatError("not a weights file")
+    header, payload = _read(path, MAGIC_WEIGHTS, "weights",
+                            {"kind", "params", "extra"})
     _get(header, "extra", dict)
     flat = np.frombuffer(payload, dtype="<f8", count=len(payload) // 8)
     store = ParamStore()
     pos = 0
     for i, e in enumerate(_get(header, "params", list)):
         where = f"parameter {i}"
-        if not isinstance(e, dict) or set(e) != {"name", "shape", "group", "offset"}:
+        if not isinstance(e, dict) or set(e) != {"name", "shape", "group"}:
             raise DataFormatError(f"{where}: malformed entry")
         name = _get(e, "name", str, where)
         group = _get(e, "group", str, where)
@@ -247,13 +222,11 @@ def read_weights(path: str) -> ParamStore:
             raise DataFormatError(f"{where}: bad shape {shape!r}")
         if name in store.params:
             raise DataFormatError(f"{where}: duplicate name {name!r}")
-        if _get(e, "offset", int, where) != pos:
-            raise DataFormatError(f"{where}: offset disagrees with the shapes before it")
         count = math.prod(shape)
-        if pos + count * 8 > len(payload):
+        if pos + count > flat.size:
             raise DataFormatError(f"{where}: shape runs past the payload")
-        store.add(name, flat[pos // 8:pos // 8 + count].reshape(shape), group=group)
-        pos += count * 8
-    if pos != len(payload):
-        raise DataFormatError("payload_bytes disagrees with the parameter shapes")
+        store.add(name, flat[pos:pos + count].reshape(shape), group=group)
+        pos += count
+    if pos * 8 != len(payload):
+        raise DataFormatError("payload size disagrees with the parameter shapes")
     return store

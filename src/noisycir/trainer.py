@@ -79,9 +79,6 @@ class MetricsRecord:
     recall_at_50: float
     filter_score: FilterScore | None = None
 
-    def recalls(self) -> dict[int, float]:
-        return {1: self.recall_at_1, 10: self.recall_at_10, 50: self.recall_at_50}
-
 
 @dataclass
 class FilterReportRow:

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -273,6 +276,31 @@ class TestGradCheck:
         finally:
             ad.set_backward_fault(None)
         assert not report.passed
+
+    def test_every_probe_tape_is_freed_without_the_cyclic_collector(self):
+        rng = np.random.default_rng(13)
+        store = ParamStore()
+        store.add("a", rng.uniform(-1, 1, (2, 3)))
+        store.add("b", rng.uniform(-1, 1, (3, 2)))
+        refs = []
+
+        def f(st):
+            tape = Tape()
+            refs.append(weakref.ref(tape))
+            prod = oracles.matmul(tape.param(st, "a"), tape.param(st, "b"))
+            return oracles.vsum(oracles.emul(prod, prod))
+
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            report = ad.grad_check(f, store)
+            alive = sum(ref() is not None for ref in refs)
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert report.passed
+        assert len(refs) == 1 + 2 * report.n_entries
+        assert alive == 0
 
 
 class TestProperties:

@@ -5,7 +5,7 @@ import pytest
 
 from noisycir.cli import (EXIT_DATA, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
                           EXIT_USAGE, _atomic_write_text, main)
-from tests.test_storage import rewrite_header
+from tests.test_storage import rewrite_header, rewrite_record
 
 SMALL = {
     "dataset": {"num_concepts": 8, "dim": 16, "text_tokens": 4,
@@ -176,22 +176,34 @@ def _set_byte_12(path):
 
 
 def _header_edit(mutate):
+    """Edit the header and recompute the whole-file checksum, so the edit
+    reaches the reader's validators rather than stopping at the checksum."""
     return lambda path: rewrite_header(path, mutate)
 
 
+def _truth_code(value):
+    """Set the first sample's truth code, with a recomputed checksum."""
+    return lambda path: rewrite_record(path, 0, -3, value)
+
+
 class TestCorruptHeader:
-    """Header corruptions the checksum does not see must still exit 3."""
+    """Well-formed files whose header or records are wrong must exit 3."""
 
     @pytest.mark.parametrize("corrupt", [
         _set_byte_12,
-        _header_edit(lambda h: h.pop("offsets")),
+        # version 1's per-sample offsets are not a version 2 key
+        _header_edit(lambda h: h.update(offsets=[])),
         _header_edit(lambda h: h["spec"].update(colour="red")),
         _header_edit(lambda h: h["spec"].update(dim=64)),
-        _header_edit(lambda h: h["offsets"].__setitem__(1, -8)),
+        _header_edit(lambda h: h.update(offsets=[0, -8])),
         _header_edit(lambda h: h["spec"].update(dim=16)),
-        _header_edit(lambda h: h["samples"][0].update(truth="weird")),
+        _truth_code(7.0),
+        _truth_code(0.5),
+        _header_edit(lambda h: h.update(n_samples=h["n_samples"] + 1)),
+        _header_edit(lambda h: h.update(n_samples=h["n_samples"] - 1)),
     ], ids=["byte-12-0xff", "offsets-removed", "unknown-spec-key", "dim-64",
-            "negative-offset", "dim-16", "unknown-truth"])
+            "negative-offset", "dim-16", "unknown-truth", "fractional-truth",
+            "n-samples-plus-one", "n-samples-minus-one"])
     def test_train_exits_3_without_traceback(self, tmp_path, corrupt, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"dataset": {"num_triplets": 10, "seed": 1}}))

@@ -2,11 +2,13 @@ import json
 import os
 import stat
 import struct
+import zlib
 
 import numpy as np
 import pytest
 
 from noisycir.autodiff import ParamStore
+from noisycir.cli import EXIT_DATA, main
 from noisycir.errors import DataFormatError
 from noisycir.storage import (MAGIC_DATASET, read_dataset, read_weights,
                               write_dataset, write_weights)
@@ -46,9 +48,9 @@ def test_header_metadata(dataset_file):
     assert blob[:4] == MAGIC_DATASET
     (hdr_len,) = struct.unpack("<I", blob[6:10])
     header = json.loads(blob[10:10 + hdr_len])
+    assert set(header) == {"kind", "spec", "n_samples"}
+    assert header["kind"] == "dataset"
     assert header["n_samples"] == SPEC.num_triplets
-    assert header["dims"] == {"n": SPEC.text_tokens, "m": SPEC.image_patches,
-                              "d": SPEC.dim}
     assert header["spec"]["seed"] == SPEC.seed
 
 
@@ -120,15 +122,124 @@ def test_weights_magic_distinct(tmp_path, dataset_file):
         read_weights(str(path))
 
 
+def rewrite(path, header=None, payload=None):
+    """Apply header to the parsed JSON header and payload to the payload's
+    bytes (each edits in place or returns the replacement), then write the
+    file back with a matching header length and a recomputed checksum, so
+    the edit reaches the reader's validators."""
+    blob = path.read_bytes()
+    (hdr_len,) = struct.unpack("<I", blob[6:10])
+    parsed = json.loads(blob[10:10 + hdr_len])
+    body = blob[10 + hdr_len:-4]
+    if header is not None:
+        parsed = header(parsed) or parsed
+    if payload is not None:
+        body = payload(bytearray(body)) or body
+    hdr = json.dumps(parsed).encode("utf-8")
+    out = blob[:6] + struct.pack("<I", len(hdr)) + hdr + bytes(body)
+    path.write_bytes(out + struct.pack("<I", zlib.crc32(out)))
+
+
 def rewrite_header(path, mutate):
-    """Apply mutate to the parsed JSON header and write the file back with a
-    matching header length; the payload and its checksum stay as they were."""
+    rewrite(path, header=mutate)
+
+
+def rewrite_record(path, sample, column, value):
+    """Set one float of one sample's payload record (column -3 is its truth
+    code, -2 and -1 its concept ids) and recompute the checksum."""
+    blob = path.read_bytes()
+    (hdr_len,) = struct.unpack("<I", blob[6:10])
+    n_samples = json.loads(blob[10:10 + hdr_len])["n_samples"]
+
+    def edit(body):
+        rows = np.frombuffer(body, dtype="<f8").reshape(n_samples, -1).copy()
+        rows[sample, column] = value
+        return rows.tobytes()
+    rewrite(path, payload=edit)
+
+
+def test_weights_header_metadata(tmp_path):
+    store = ParamStore()
+    store.init_mlp("a", 3, 2, 2, np.random.default_rng(1), group="wcb")
+    path = tmp_path / "w.nclw"
+    write_weights(store, str(path), extra={"note": 1})
     blob = path.read_bytes()
     (hdr_len,) = struct.unpack("<I", blob[6:10])
     header = json.loads(blob[10:10 + hdr_len])
-    mutate(header)
-    hdr = json.dumps(header).encode("utf-8")
-    path.write_bytes(blob[:6] + struct.pack("<I", len(hdr)) + hdr + blob[10 + hdr_len:])
+    assert set(header) == {"kind", "params", "extra"}
+    assert header["extra"] == {"note": 1}
+    assert [set(e) for e in header["params"]] == [{"name", "shape", "group"}] * 4
+
+
+def test_truth_is_read_from_the_checksummed_record(dataset_file):
+    _, path = dataset_file
+    rewrite(path)  # no edit: the rewritten file is the written one
+    assert read_dataset(str(path))[1] == SPEC
+    for code, truth in enumerate(("clean", "partial", "mismatched")):
+        rewrite_record(path, 0, -3, float(code))
+        assert read_dataset(str(path))[0][0].truth == truth
+
+
+@pytest.mark.parametrize("column, value", [
+    (-3, 3.0), (-3, 7.0), (-3, 0.5), (-3, -1.0), (-3, float("nan")),
+    (-2, float(SPEC.num_concepts)), (-1, -1.0), (-1, 2.5), (-2, float("inf")),
+], ids=["truth-3", "truth-7", "truth-half", "truth-negative", "truth-nan",
+        "concept-too-large", "concept-negative", "concept-fraction", "concept-inf"])
+def test_bad_record_codes_rejected(dataset_file, column, value):
+    _, path = dataset_file
+    rewrite_record(path, 4, column, value)
+    with pytest.raises(DataFormatError, match="sample 4: bad (truth code|concept ids)"):
+        read_dataset(str(path))
+
+
+def test_concept_ids_come_back_as_python_ints(dataset_file):
+    samples, path = dataset_file
+    loaded, _ = read_dataset(str(path))
+    assert [repr(s.concept_ids) for s in loaded] == [repr(s.concept_ids) for s in samples]
+    assert all(type(c) is int for s in loaded for c in s.concept_ids)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda h: h.update(n_samples=-1),
+    lambda h: h.update(n_samples=True),
+    lambda h: h.update(payload_bytes=0),   # a version 1 field, now stale
+    lambda h: h.pop("kind"),
+    lambda h: h.update(kind="weights"),
+    lambda h: [h],
+], ids=["n-samples-negative", "n-samples-bool", "stale-payload-bytes",
+        "no-kind", "wrong-kind", "not-an-object"])
+def test_bad_dataset_header_raises_data_format_error(dataset_file, mutate):
+    _, path = dataset_file
+    rewrite_header(path, mutate)
+    with pytest.raises(DataFormatError):
+        read_dataset(str(path))
+
+
+def _as_version_1(path):
+    """Rewrite a file's version field to 1 and its checksum over the payload
+    alone, as version 1 files had it."""
+    blob = bytearray(path.read_bytes())
+    (hdr_len,) = struct.unpack("<I", blob[6:10])
+    blob[4:6] = struct.pack("<H", 1)
+    blob[-4:] = struct.pack("<I", zlib.crc32(blob[10 + hdr_len:-4]))
+    path.write_bytes(bytes(blob))
+
+
+def test_version_1_file_exits_3_with_one_line(dataset_file, tmp_path, capsys):
+    _, path = dataset_file
+    _as_version_1(path)
+    with pytest.raises(DataFormatError, match="unsupported version 1"):
+        read_dataset(str(path))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"train": {"epochs": 1, "batch_size": 4}}))
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--dataset", str(path),
+                 "--out", str(tmp_path / "run")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: unsupported version 1")
+    assert "noisycir generate" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.fixture
@@ -146,21 +257,25 @@ def _set_first(key, value):
     return mutate
 
 
-def _drop_first_offset(header):
-    del header["params"][0]["offset"]
+def _add_param(header):
+    header["params"].append({"name": "z", "shape": [1, 1], "group": "wcb"})
 
 
 @pytest.mark.parametrize("mutate", [
-    _set_first("shape", [2, 2]),       # shorter than what the offsets imply
+    _set_first("shape", [2, 2]),       # shorter than the payload holds
     _set_first("shape", [3, 2, 1]),    # not 2-D
     _set_first("shape", [3, "2"]),
-    _set_first("offset", -8),
-    _drop_first_offset,
+    _set_first("offset", -8),          # version 1's offsets are stale keys
+    _set_first("offset", 0),
     _set_first("name", "a.b1"),        # duplicate of a later name
-    lambda h: h.update(payload_bytes=h["payload_bytes"] - 8),
+    _add_param,                        # the payload is one float short of it
     lambda h: h.update(params={}),
+    lambda h: h.update(payload_bytes=8),
+    lambda h: h.pop("extra"),
+    lambda h: h.update(extra=[]),
 ], ids=["short-shape", "3d-shape", "string-dim", "negative-offset",
-        "missing-offset", "duplicate-name", "payload-short", "params-not-list"])
+        "missing-offset", "duplicate-name", "payload-short", "params-not-list",
+        "stale-payload-bytes", "no-extra", "extra-not-object"])
 def test_bad_weights_header_raises_data_format_error(weights_file, mutate):
     rewrite_header(weights_file, mutate)
     with pytest.raises(DataFormatError):
@@ -169,8 +284,14 @@ def test_bad_weights_header_raises_data_format_error(weights_file, mutate):
 
 def test_trailing_bytes_rejected(dataset_file):
     _, path = dataset_file
-    path.write_bytes(path.read_bytes() + b"\0" * 8)
-    with pytest.raises(DataFormatError, match="trailing"):
+    blob = path.read_bytes()
+    path.write_bytes(blob + b"\0" * 8)
+    with pytest.raises(DataFormatError, match="checksum"):
+        read_dataset(str(path))
+    # the same bytes inside the checksum are a payload of the wrong size
+    path.write_bytes(blob)
+    rewrite(path, payload=lambda body: body + b"\0" * 8)
+    with pytest.raises(DataFormatError, match="payload size"):
         read_dataset(str(path))
 
 
@@ -189,8 +310,9 @@ def _tiny_files(tmp_path):
 
 
 def test_fuzz_byte_flips_and_truncations(tmp_path):
-    """Every single-byte flip either loads or raises DataFormatError, and
-    every truncation raises it: no other exception escapes a reader."""
+    """Every single-byte flip and every truncation raises DataFormatError:
+    the checksum covers the whole file, and no other exception escapes a
+    reader."""
     probe = tmp_path / "probe"
     for path, reader in _tiny_files(tmp_path):
         blob = path.read_bytes()
@@ -206,8 +328,7 @@ def test_fuzz_byte_flips_and_truncations(tmp_path):
                     loaded += 1
                 except DataFormatError:
                     pass
-        # flips inside the header can still give a valid file, never a payload flip
-        assert loaded < len(blob) // 4
+        assert loaded == 0
         for k in range(len(blob)):
             probe.write_bytes(blob[:k])
             with pytest.raises(DataFormatError):

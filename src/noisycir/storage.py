@@ -12,9 +12,9 @@ _TRUTHS. Weight files use magic "NCLW". Their header is exactly {"kind",
 "params", "extra"}, each parameter {"name", "shape", "group"}; the payload
 is the parameters in that order, so offsets follow from the shapes.
 
-Writes stream the header and each array, with a running checksum, to a temp
-file in the target directory that is renamed into place: the file is never
-held in memory whole, and a failed write leaves no partial artifact.
+Writes stream the header and the payload in chunks, with a running checksum,
+to a temp file in the target directory that is renamed into place: the file
+is never held in memory whole, and a failed write leaves no partial artifact.
 
 Readers check the magic, the version and the checksum, then validate every
 field they use: exact key sets and JSON types, the payload size against
@@ -46,9 +46,10 @@ MAGIC_WEIGHTS = b"NCLW"
 VERSION = 2
 
 _TRUTHS = (TRUTH_CLEAN, TRUTH_PARTIAL, TRUTH_MISMATCHED)
+_CHUNK = 256  # dataset records per write and checksum update
 
 
-def _atomic_write(path: str, chunks: Iterable[bytes]) -> None:
+def _atomic_write(path: str, chunks: Iterable[bytes | np.ndarray]) -> None:
     """Write the chunks, in order, to a temp file and rename it into place."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
@@ -66,7 +67,7 @@ def _atomic_write(path: str, chunks: Iterable[bytes]) -> None:
 
 
 def _container(magic: bytes, header: dict,
-               arrays: Iterable[np.ndarray]) -> Iterator[bytes]:
+               arrays: Iterable[np.ndarray]) -> Iterator[bytes | np.ndarray]:
     """The file's bytes in order: preamble, header, each array as float64,
     then the CRC32 of all of them, computed as they stream past."""
     hdr = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -74,7 +75,7 @@ def _container(magic: bytes, header: dict,
     crc = zlib.crc32(head)
     yield head
     for arr in arrays:
-        raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+        raw = np.ascontiguousarray(arr, dtype="<f8")
         crc = zlib.crc32(raw, crc)
         yield raw
     yield struct.pack("<I", crc)
@@ -160,8 +161,9 @@ def _codes(values: np.ndarray, limit: int, what: str) -> list:
 def write_dataset(samples: list[TripletSample], spec: DatasetSpec, path: str) -> None:
     header = {"kind": "dataset", "spec": dataclasses.asdict(spec),
               "n_samples": len(samples)}
-    arrays = (a for s in samples for a in _sample_arrays(s))
-    _atomic_write(path, _container(MAGIC_DATASET, header, arrays))
+    chunks = (np.concatenate([a.ravel() for s in samples[i:i + _CHUNK] for a in _sample_arrays(s)])
+              for i in range(0, len(samples), _CHUNK))
+    _atomic_write(path, _container(MAGIC_DATASET, header, chunks))
 
 
 def read_dataset(path: str) -> tuple[list[TripletSample], DatasetSpec]:

@@ -6,6 +6,11 @@ m+1 rows (cls, m patches), each with a normalized attention map. Concepts
 are planted unit anchors; triplets encode an edit direction from a
 reference concept to a target concept, with controllable injection of
 mismatched and partially matched targets plus ground-truth noise labels.
+
+Samples are built in blocks that their bundles view. A per-sample loop only
+draws, normals straight into place; centring, eot and cls means, placing the
+distractors and attention then run once per block. Sample i draws only from
+SeedSequence([seed, 1, i]), in a fixed order, whatever the block or its size.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ TRUTH_PARTIAL = "partial"
 # Planted attention on a distractor token, as a fraction of the uniform
 # weight, before normalization. Normalized weight stays below 1/(10L).
 _DISTRACTOR_RAW = 0.05
+_BLOCK = 256  # samples per block: array calls spread thin, transients small
 
 
 @dataclass(frozen=True)
@@ -83,18 +89,10 @@ class TripletSample:
         return self.truth != TRUTH_CLEAN
 
 
-def _concept_rng(spec: DatasetSpec) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([spec.seed, 0]))
-
-
-def _sample_rng(spec: DatasetSpec, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([spec.seed, 1, index]))
-
-
 def make_concepts(spec: DatasetSpec) -> np.ndarray:
     """C unit-norm anchor vectors in R^d, seeded and pairwise distinct."""
     spec.validate()
-    rng = _concept_rng(spec)
+    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0]))
     anchors = rng.standard_normal((spec.num_concepts, spec.dim))
     anchors /= np.linalg.norm(anchors, axis=1, keepdims=True)
     if spec.num_concepts > 1:
@@ -107,73 +105,88 @@ def make_concepts(spec: DatasetSpec) -> np.ndarray:
     return anchors
 
 
-def _attention(n_rows: int, informative: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Normalized attention: informative rows ~1 with jitter, the rest near zero."""
-    raw = np.full(n_rows, _DISTRACTOR_RAW / n_rows)
-    raw[informative] = 1.0 + 0.1 * rng.uniform(size=informative.size)
-    return raw / raw.sum()
+def _draw_image(rng: np.random.Generator, tokens: np.ndarray, row: np.ndarray,
+                jitter: np.ndarray) -> None:
+    """One image's draws: its distractor patches, its rows in _finish's
+    layout (informative, distractors, cls) and its attention jitter."""
+    m, k = len(row) - 1, len(jitter) - 1
+    row[k:m] = 1 + rng.choice(m, size=m - k, replace=False)
+    rng.standard_normal(out=tokens[:k])
+    rng.standard_normal(out=tokens[k:m])
+    rng.standard_normal(out=tokens[m])
+    jitter[:] = rng.uniform(size=k + 1)
 
 
-def _image_bundle(center: np.ndarray, spec: DatasetSpec,
-                  rng: np.random.Generator) -> TokenBundle:
-    m, d, sigma = spec.image_patches, spec.dim, spec.noise_scale
-    n_distract = math.ceil(spec.distractor_fraction * m)
-    tokens = np.empty((m + 1, d))
-    patch_rows = np.arange(1, m + 1)
-    distract_rows = rng.choice(patch_rows, size=n_distract, replace=False)
-    inform_rows = np.setdiff1d(patch_rows, distract_rows)
-    tokens[inform_rows] = center + sigma * rng.standard_normal((inform_rows.size, d))
-    tokens[distract_rows] = rng.standard_normal((n_distract, d))
-    tokens[0] = tokens[inform_rows].mean(axis=0) + sigma * rng.standard_normal(d)
-    att = _attention(m + 1, np.concatenate(([0], inform_rows)), rng)
-    return TokenBundle(tokens=tokens, attention=att, global_index=0, modality="image")
+def _finish(tokens: np.ndarray, row: np.ndarray, jitter: np.ndarray, center: np.ndarray,
+            sigma: float, jittered: np.ndarray) -> np.ndarray:
+    """Turn a block of bundles' draws into tokens, in place; return the
+    attention. A bundle is drawn as its q informative rows, its other rows,
+    then its global row; row[:, i] is the token row drawn row i belongs to."""
+    (b, n_rows, _), q = tokens.shape, jitter.shape[1] - 1
+    inform = tokens[:, :q]
+    inform *= sigma
+    inform += center[:, None]
+    tokens[:, -1] = sigma * tokens[:, -1] + inform.sum(axis=1) / q
+    np.put_along_axis(tokens, row[:, :, None], tokens.copy(), axis=1)
+    # the jittered rows (informative and global) ~1, the rest near zero
+    att = np.full((b, n_rows), _DISTRACTOR_RAW / n_rows)
+    np.put_along_axis(att, row[:, jittered], 1.0 + 0.1 * jitter, axis=1)
+    return att / att.sum(axis=1, keepdims=True)
 
 
-def _text_bundle(direction: np.ndarray, spec: DatasetSpec,
-                 rng: np.random.Generator) -> TokenBundle:
-    n, d, sigma = spec.text_tokens, spec.dim, spec.noise_scale
-    tokens = np.empty((n + 2, d))
-    word_rows = np.arange(1, n + 1)
-    tokens[word_rows] = direction + sigma * rng.standard_normal((n, d))
-    tokens[0] = rng.standard_normal(d)  # sot: uninformative
-    tokens[n + 1] = tokens[word_rows].mean(axis=0) + sigma * rng.standard_normal(d)
-    att = _attention(n + 2, np.concatenate((word_rows, [n + 1])), rng)
-    return TokenBundle(tokens=tokens, attention=att, global_index=n + 1, modality="text")
+def _build(concepts: np.ndarray, spec: DatasetSpec, indices) -> list[TripletSample]:
+    """The samples at `indices`, built as one block."""
+    c = concepts.shape[0]
+    if c < 2:
+        raise ConfigError("need at least 2 concepts to form an edit triplet")
+    n, m, d, sigma = spec.text_tokens, spec.image_patches, spec.dim, spec.noise_scale
+    b, k = len(indices), m - math.ceil(spec.distractor_fraction * m)
+    text, text_jitter = np.empty((b, n + 2, d)), np.empty((b, n + 1))
+    img, jitter = np.empty((2, b, m + 1, d)), np.empty((2, b, k + 1))  # reference, target
+    row = np.zeros((2, b, m + 1), np.intp)
+    pairs, truths, tar_ids = [], [], np.empty((b, 2), np.intp)  # target centred on their mean
+    for i, index in enumerate(indices):
+        rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 1, index]))
+        r = int(rng.integers(c))
+        t = int((r + 1 + rng.integers(c - 1)) % c)
+        pairs.append((r, t))
+        rng.standard_normal(out=text[i, :n])  # words
+        rng.standard_normal(out=text[i, n])  # sot: uninformative
+        rng.standard_normal(out=text[i, n + 1])  # eot
+        text_jitter[i] = rng.uniform(size=n + 1)
+        _draw_image(rng, img[0, i], row[0, i], jitter[0, i])
+        u = rng.uniform()
+        noisy, wrong = u < spec.mismatch_rate + spec.partial_rate, u < spec.mismatch_rate
+        other = int((t + 1 + rng.integers(c - 1)) % c) if noisy else t
+        tar_ids[i] = other if wrong else t, other
+        truths.append(TRUTH_MISMATCHED if wrong else TRUTH_PARTIAL if noisy else TRUTH_CLEAN)
+        _draw_image(rng, img[1, i], row[1, i], jitter[1, i])
+
+    diffs = {(r, t): concepts[t] - concepts[r] for r, t in set(pairs)}
+    unit = {p: v / np.linalg.norm(v) for p, v in diffs.items()}  # 1-D norms, as per sample
+    text_att = _finish(text, np.broadcast_to(np.r_[1:n + 1, 0, n + 1], (b, n + 2)), text_jitter,
+                       np.array([unit[p] for p in pairs]), sigma, np.r_[:n, -1])
+    free = np.broadcast_to(np.arange(m + 1) > 0, row.shape).copy()  # patches not drawn
+    np.put_along_axis(free, row[..., k:m], False, axis=2)
+    row[..., :k] = np.nonzero(free)[2].reshape(2, b, k)  # the informative ones, in order
+    a, o = tar_ids.T
+    tar_center = np.where((a != o)[:, None], 0.5 * concepts[a] + 0.5 * concepts[o], concepts[a])
+    ref_att, tar_att = (_finish(img[j], row[j], jitter[j], center, sigma, np.r_[-1, :k])
+                        for j, center in enumerate((concepts[[r for r, _ in pairs]], tar_center)))
+    return [TripletSample(TokenBundle(text[i], text_att[i], n + 1, "text"),
+                          TokenBundle(img[0, i], ref_att[i], 0, "image"),
+                          TokenBundle(img[1, i], tar_att[i], 0, "image"),
+                          truth=truths[i], concept_ids=pairs[i]) for i in range(b)]
 
 
 def synth_triplet(concepts: np.ndarray, spec: DatasetSpec, index: int) -> TripletSample:
     """Generate sample `index` deterministically from (spec, seed, index)."""
-    if index >= spec.num_triplets:
+    if not 0 <= index < spec.num_triplets:
         raise ConfigError(f"index {index} out of range for N={spec.num_triplets}")
-    c = concepts.shape[0]
-    if c < 2:
-        raise ConfigError("need at least 2 concepts to form an edit triplet")
-    rng = _sample_rng(spec, index)
-    r = int(rng.integers(c))
-    t = int((r + 1 + rng.integers(c - 1)) % c)
-
-    direction = concepts[t] - concepts[r]
-    direction = direction / np.linalg.norm(direction)
-    mod_text = _text_bundle(direction, spec, rng)
-    ref_image = _image_bundle(concepts[r], spec, rng)
-
-    u = rng.uniform()
-    if u < spec.mismatch_rate:
-        wrong = int((t + 1 + rng.integers(c - 1)) % c)
-        tar_image = _image_bundle(concepts[wrong], spec, rng)
-        truth = TRUTH_MISMATCHED
-    elif u < spec.mismatch_rate + spec.partial_rate:
-        other = int((t + 1 + rng.integers(c - 1)) % c)
-        blend = 0.5 * concepts[t] + 0.5 * concepts[other]
-        tar_image = _image_bundle(blend, spec, rng)
-        truth = TRUTH_PARTIAL
-    else:
-        tar_image = _image_bundle(concepts[t], spec, rng)
-        truth = TRUTH_CLEAN
-    return TripletSample(mod_text=mod_text, ref_image=ref_image,
-                         tar_image=tar_image, truth=truth, concept_ids=(r, t))
+    return _build(concepts, spec, [index])[0]
 
 
 def generate_dataset(spec: DatasetSpec) -> list[TripletSample]:
-    concepts = make_concepts(spec)
-    return [synth_triplet(concepts, spec, i) for i in range(spec.num_triplets)]
+    concepts, n = make_concepts(spec), spec.num_triplets
+    return [s for i in range(0, n, _BLOCK)
+            for s in _build(concepts, spec, range(i, min(i + _BLOCK, n)))]

@@ -7,7 +7,13 @@ can plant a fault in it.
 
 taped_epoch_losses is the trainer's epoch-scope loss pass as it ran before
 its losses were stacked: one forward_batch and one nce_per_sample per chunk.
+
+synth_triplet and generate_dataset are the synthetic generator as it ran
+before it built samples in blocks: every token and attention row is
+computed per sample, from the same draws of the sample's own generator.
 """
+
+import math
 
 import numpy as np
 
@@ -16,6 +22,9 @@ from noisycir.autodiff import _NORM_EPS, Tape, Var, _fault, _same_tape
 from noisycir.errors import DegenerateInputError, ShapeError
 from noisycir.evaluation import cosine_similarity_matrix, recall_from_similarity
 from noisycir.fusion import nce_per_sample
+from noisycir.synth import (_DISTRACTOR_RAW, TRUTH_CLEAN, TRUTH_MISMATCHED,
+                            TRUTH_PARTIAL, DatasetSpec, TokenBundle,
+                            TripletSample, make_concepts)
 
 def matmul(a: Var, b: Var) -> Var:
     tape = _same_tape(a, b)
@@ -124,3 +133,70 @@ def taped_epoch_losses(store, samples, train_idx, config) -> list[np.ndarray]:
                           for q, t in views.pairs()])
     return [np.concatenate(view) for view in zip(*per_chunk)]
 
+
+def _attention(n_rows: int, informative: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Normalized attention: informative rows ~1 with jitter, the rest near zero."""
+    raw = np.full(n_rows, _DISTRACTOR_RAW / n_rows)
+    raw[informative] = 1.0 + 0.1 * rng.uniform(size=informative.size)
+    return raw / raw.sum()
+
+
+def _image_bundle(center: np.ndarray, spec: DatasetSpec,
+                  rng: np.random.Generator) -> TokenBundle:
+    m, d, sigma = spec.image_patches, spec.dim, spec.noise_scale
+    n_distract = math.ceil(spec.distractor_fraction * m)
+    tokens = np.empty((m + 1, d))
+    patch_rows = np.arange(1, m + 1)
+    distract_rows = rng.choice(patch_rows, size=n_distract, replace=False)
+    inform_rows = np.setdiff1d(patch_rows, distract_rows)
+    tokens[inform_rows] = center + sigma * rng.standard_normal((inform_rows.size, d))
+    tokens[distract_rows] = rng.standard_normal((n_distract, d))
+    tokens[0] = tokens[inform_rows].mean(axis=0) + sigma * rng.standard_normal(d)
+    att = _attention(m + 1, np.concatenate(([0], inform_rows)), rng)
+    return TokenBundle(tokens=tokens, attention=att, global_index=0, modality="image")
+
+
+def _text_bundle(direction: np.ndarray, spec: DatasetSpec,
+                 rng: np.random.Generator) -> TokenBundle:
+    n, d, sigma = spec.text_tokens, spec.dim, spec.noise_scale
+    tokens = np.empty((n + 2, d))
+    word_rows = np.arange(1, n + 1)
+    tokens[word_rows] = direction + sigma * rng.standard_normal((n, d))
+    tokens[0] = rng.standard_normal(d)  # sot: uninformative
+    tokens[n + 1] = tokens[word_rows].mean(axis=0) + sigma * rng.standard_normal(d)
+    att = _attention(n + 2, np.concatenate((word_rows, [n + 1])), rng)
+    return TokenBundle(tokens=tokens, attention=att, global_index=n + 1, modality="text")
+
+
+def synth_triplet(concepts: np.ndarray, spec: DatasetSpec, index: int) -> TripletSample:
+    """Sample `index`, built row by row from its own generator."""
+    c = concepts.shape[0]
+    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 1, index]))
+    r = int(rng.integers(c))
+    t = int((r + 1 + rng.integers(c - 1)) % c)
+
+    direction = concepts[t] - concepts[r]
+    direction = direction / np.linalg.norm(direction)
+    mod_text = _text_bundle(direction, spec, rng)
+    ref_image = _image_bundle(concepts[r], spec, rng)
+
+    u = rng.uniform()
+    if u < spec.mismatch_rate:
+        wrong = int((t + 1 + rng.integers(c - 1)) % c)
+        tar_image = _image_bundle(concepts[wrong], spec, rng)
+        truth = TRUTH_MISMATCHED
+    elif u < spec.mismatch_rate + spec.partial_rate:
+        other = int((t + 1 + rng.integers(c - 1)) % c)
+        blend = 0.5 * concepts[t] + 0.5 * concepts[other]
+        tar_image = _image_bundle(blend, spec, rng)
+        truth = TRUTH_PARTIAL
+    else:
+        tar_image = _image_bundle(concepts[t], spec, rng)
+        truth = TRUTH_CLEAN
+    return TripletSample(mod_text=mod_text, ref_image=ref_image,
+                         tar_image=tar_image, truth=truth, concept_ids=(r, t))
+
+
+def generate_dataset(spec: DatasetSpec) -> list[TripletSample]:
+    concepts = make_concepts(spec)
+    return [synth_triplet(concepts, spec, i) for i in range(spec.num_triplets)]

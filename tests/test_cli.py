@@ -73,6 +73,16 @@ class TestGenerate:
         assert "seed" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_single_concept_exits_1_without_traceback(self, tmp_path, capsys):
+        cfg = tmp_path / "one.json"
+        cfg.write_text(json.dumps({"dataset": {**SMALL["dataset"], "num_concepts": 1}}))
+        out = tmp_path / "d.ncld"
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "2 concepts" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_nan_learning_rate_exits_1(self, tmp_path, dataset_path, capsys):
         cfg = tmp_path / "nan.json"
         cfg.write_text(json.dumps({"dataset": SMALL["dataset"],

@@ -6,6 +6,7 @@ import pytest
 from noisycir.errors import ConfigError
 from noisycir.synth import (DatasetSpec, generate_dataset, make_concepts,
                             synth_triplet)
+from tests import oracles
 
 SMALL = DatasetSpec(num_concepts=8, dim=16, text_tokens=6, image_patches=10,
                     num_triplets=50, seed=7)
@@ -106,6 +107,64 @@ class TestSynthTriplet:
         concepts = make_concepts(SMALL)
         with pytest.raises(ConfigError):
             synth_triplet(concepts, SMALL, SMALL.num_triplets)
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ConfigError, match="out of range"):
+            synth_triplet(make_concepts(SMALL), SMALL, -1)
+
+    def test_single_concept_rejected(self):
+        spec = DatasetSpec(num_concepts=1, num_triplets=3)
+        with pytest.raises(ConfigError, match="2 concepts"):
+            generate_dataset(spec)
+        with pytest.raises(ConfigError, match="2 concepts"):
+            synth_triplet(make_concepts(spec), spec, 0)
+
+
+def assert_same_samples(got, want):
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        assert x.truth == y.truth
+        assert x.concept_ids == y.concept_ids
+        assert all(type(i) is int for i in x.concept_ids)
+        for a, b in ((x.mod_text, y.mod_text), (x.ref_image, y.ref_image),
+                     (x.tar_image, y.tar_image)):
+            assert np.array_equal(a.tokens, b.tokens)
+            assert np.array_equal(a.attention, b.attention)
+            assert a.global_index == b.global_index
+            assert a.modality == b.modality
+
+
+class TestBlockBuilder:
+    """The block builder against the per-sample generator it replaced."""
+
+    @pytest.mark.parametrize("spec", [
+        DatasetSpec(num_triplets=40, mismatch_rate=0.2, partial_rate=0.1, seed=3),
+        DatasetSpec(num_triplets=20, distractor_fraction=0.0),
+        DatasetSpec(num_triplets=20, text_tokens=1, image_patches=1,
+                    distractor_fraction=0.0),
+        DatasetSpec(num_triplets=20, num_concepts=2, mismatch_rate=1.0),
+        DatasetSpec(num_triplets=20, partial_rate=1.0, noise_scale=0.0,
+                    seed=4294967295),
+        DatasetSpec(num_triplets=1),
+        DatasetSpec(num_triplets=20, image_patches=7, distractor_fraction=0.8),
+        DatasetSpec(num_triplets=10, image_patches=200, dim=5),
+    ], ids=["mixed", "no-distractors", "one-token-one-patch", "two-concepts-all-mismatched",
+            "all-partial-noiseless-max-seed", "n1", "7-patches-80pct-distractors",
+            "200-patches-dim5"])
+    def test_equals_per_sample_oracle(self, spec):
+        assert_same_samples(generate_dataset(spec), oracles.generate_dataset(spec))
+
+    @pytest.mark.parametrize("n", [255, 256, 257, 513])
+    def test_block_boundaries(self, n):
+        spec = DatasetSpec(num_triplets=n, mismatch_rate=0.2, partial_rate=0.1, seed=5)
+        assert_same_samples(generate_dataset(spec), oracles.generate_dataset(spec))
+
+    def test_synth_triplet_equals_generated_sample(self):
+        spec = DatasetSpec(num_triplets=300, mismatch_rate=0.3, partial_rate=0.3, seed=2)
+        concepts = make_concepts(spec)
+        samples = generate_dataset(spec)
+        for i in (0, 1, 255, 256, 299):
+            assert_same_samples([synth_triplet(concepts, spec, i)], [samples[i]])
 
 
 class TestSpecValidation:

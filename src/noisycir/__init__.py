@@ -12,14 +12,14 @@ from .errors import (ConfigError, DataFormatError, DegenerateInputError,
                      NumericalError, ShapeError)
 from .evaluation import FilterScore, evaluate_filter
 from .nfb import GmmParams, PairSets, build_sets, em_fit, posterior, soft_labels
-from .synth import DatasetSpec, TokenBundle, TripletSample, generate_dataset
+from .synth import Dataset, DatasetSpec, TokenBundle, TripletSample, generate_dataset
 from .trainer import MetricsRecord, TrainConfig, run_ablation, run_training
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError", "DataFormatError", "DegenerateInputError", "NumericalError",
-    "ShapeError", "DatasetSpec", "TokenBundle", "TripletSample",
+    "ShapeError", "Dataset", "DatasetSpec", "TokenBundle", "TripletSample",
     "generate_dataset", "GmmParams", "PairSets", "build_sets", "em_fit",
     "posterior", "soft_labels", "FilterScore", "evaluate_filter",
     "MetricsRecord", "TrainConfig", "run_ablation", "run_training",

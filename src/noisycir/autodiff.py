@@ -440,22 +440,16 @@ def grad_check(f, store: ParamStore, step: float = 1e-6,
             denom = max(abs(ana), abs(num))
             diff = abs(ana - num)
             n += 1
-            if diff <= abs_tol:
+            if diff <= abs_tol or denom < abs_floor:  # judged absolutely
                 err = diff
-                if err > max_abs:
-                    max_abs = err
-            elif denom < abs_floor:
-                err = diff
-                ok = False
-                if err > max_abs:
-                    max_abs = err
+                ok = ok and diff <= abs_tol
+                max_abs = max(max_abs, err)
             else:
                 err = diff / denom
                 if err > tol:
                     ok = False
                 if err > max_rel:
-                    max_rel = err
-                    worst = name
+                    max_rel, worst = err, name
             pw = max(pw, err)
         grp = store.groups[name]
         group_worst[grp] = max(group_worst.get(grp, 0.0), pw)

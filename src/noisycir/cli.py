@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import time
-from collections import Counter
 
 import numpy as np
 
@@ -26,9 +25,9 @@ from . import fusion
 from .config import RunConfig, load_run_config
 from .errors import ConfigError, DataFormatError, DegenerateInputError, NumericalError
 from .storage import _atomic_write, read_dataset, write_dataset, write_weights
-from .synth import generate_dataset
-from .trainer import (ABLATION_VARIANTS, FilterReportRow, forward_batch, init_params,
-                      run_ablation, run_training)
+from .synth import TRUTHS, generate_dataset
+from .trainer import (ABLATION_VARIANTS, RECALL_KS, FilterReportRow, forward_batch,
+                      init_params, run_ablation, run_training)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -77,11 +76,10 @@ def cmd_generate(args) -> int:
     cfg = _apply_overrides(load_run_config(args.config), args)
     samples = generate_dataset(cfg.dataset)
     write_dataset(samples, cfg.dataset, args.out)
-    hist = Counter(s.truth for s in samples)
+    counts = np.bincount(samples.records[:, -3].astype(np.intp), minlength=len(TRUTHS))
     print(f"wrote {len(samples)} triplets to {args.out}")
     print(f"spec: {dataclasses.asdict(cfg.dataset)}")
-    for truth in ("clean", "partial", "mismatched"):
-        count = hist.get(truth, 0)
+    for truth, count in zip(TRUTHS, counts.tolist()):
         print(f"  {truth}: {count} ({count / len(samples):.1%})")
     return EXIT_OK
 
@@ -119,6 +117,11 @@ def cmd_train(args) -> int:
         notes.append("weight compensation disabled")
 
     result = run_training(samples, cfg.train)
+    n_eval = len(result.eval_indices)
+    if n_eval < max(RECALL_KS):
+        notes.append(f"eval set of {n_eval} pairs is smaller than K={max(RECALL_KS)}: "
+                     f"R@K is 1.0 for every K >= {n_eval}")
+        print(notes[-1])
 
     rows = [_record_row(rec) for rec in result.records]
     _atomic_write_text(os.path.join(args.out, "epochs.jsonl"),
@@ -132,7 +135,7 @@ def cmd_train(args) -> int:
     write_weights(result.store, os.path.join(args.out, "weights.nclw"),
                   extra={"train": dataclasses.asdict(cfg.train)})
     _atomic_write_text(os.path.join(args.out, "run_meta.json"),
-                       json.dumps({"config": cfg.to_dict(), "notes": notes,
+                       json.dumps({"config": dataclasses.asdict(cfg), "notes": notes,
                                    "n_train": len(result.train_indices),
                                    "n_eval": len(result.eval_indices)},
                                   sort_keys=True, indent=2) + "\n")
@@ -167,8 +170,7 @@ def cmd_gradcheck(args) -> int:
         ad.set_backward_fault(args.inject_fault)
     try:
         spec = DatasetSpec(num_concepts=4, dim=8, text_tokens=4, image_patches=6,
-                           num_triplets=4, noise_scale=0.05,
-                           distractor_fraction=0.25, seed=args.seed or 0)
+                           num_triplets=4, seed=args.seed or 0)
         samples = gen(spec)
         store = init_params(spec.dim, spec.seed)
         labels = np.ones(len(samples))

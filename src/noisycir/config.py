@@ -22,14 +22,6 @@ class RunConfig:
     dataset: DatasetSpec
     train: TrainConfig
 
-    def validate(self) -> None:
-        self.dataset.validate()
-        self.train.validate()
-
-    def to_dict(self) -> dict:
-        return {"dataset": dataclasses.asdict(self.dataset),
-                "train": dataclasses.asdict(self.train)}
-
 
 def _build_section(cls, raw: dict, section: str):
     known = {f.name for f in dataclasses.fields(cls)}
@@ -50,7 +42,8 @@ def run_config_from_dict(raw: dict) -> RunConfig:
         dataset=_build_section(DatasetSpec, raw.get("dataset", {}), "dataset"),
         train=_build_section(TrainConfig, raw.get("train", {}), "train"),
     )
-    cfg.validate()
+    cfg.dataset.validate()
+    cfg.train.validate()
     return cfg
 
 

@@ -25,16 +25,21 @@ class NumericalError(ArithmeticError):
     """Non-finite value encountered where a finite one is required."""
 
 
-def check_seed_and_floats(config) -> None:
-    """Reject a seed that is not a non-negative int, and any non-finite float.
+def is_json_type(value, kind: type) -> bool:
+    """Whether value, parsed from JSON, has the type kind: a bool only where
+    kind is bool, and an int also where kind is float."""
+    kinds = (int, float) if kind is float else kind
+    return isinstance(value, bool) is (kind is bool) and isinstance(value, kinds)
 
-    A bool is not accepted as a seed. Float fields are found by the type of
-    their value, so NaN and infinity cannot slip through comparisons.
-    """
+
+def check_field_types(config) -> None:
+    """Reject a field whose value is not of its default's JSON type, a
+    non-finite float and a negative seed."""
     for f in dataclasses.fields(config):
-        value = getattr(config, f.name)
-        if f.name == "seed":
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise ConfigError(f"seed must be a non-negative integer, got {value!r}")
-        elif isinstance(value, float) and not math.isfinite(value):
+        value, kind = getattr(config, f.name), type(f.default)
+        if not is_json_type(value, kind):
+            raise ConfigError(f"{f.name} must be a JSON {kind.__name__}, got {value!r}")
+        if kind is float and not math.isfinite(value):
             raise ConfigError(f"{f.name} must be finite, got {value!r}")
+    if config.seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {config.seed!r}")

@@ -5,23 +5,25 @@ Layout (little-endian throughout):
     float64 payload | crc32 of every byte before it (u32)
 
 Datasets use magic "NCLD". Their header is exactly {"kind", "spec",
-"n_samples"}; the payload is one fixed-stride record per sample: tokens
-then attention for the text, reference and target bundles, then
-[truth code, reference concept, target concept], with truth codes indexing
-_TRUTHS. Weight files use magic "NCLW". Their header is exactly {"kind",
-"params", "extra"}, each parameter {"name", "shape", "group"}; the payload
-is the parameters in that order, so offsets follow from the shapes.
+"n_samples"}; the payload is one fixed-stride record per sample, the layout a
+Dataset keeps in memory too: tokens then attention for the text, reference and
+target bundles, then [truth code, reference concept, target concept], with
+truth codes indexing synth.TRUTHS. Weight files use magic "NCLW". Their header
+is exactly {"kind", "params", "extra"}, each parameter {"name", "shape",
+"group"}; the payload is the parameters in that order, so offsets follow from
+the shapes.
 
-Writes stream the header and the payload in chunks, with a running checksum,
-to a temp file in the target directory that is renamed into place: the file
-is never held in memory whole, and a failed write leaves no partial artifact.
-
-Readers check the magic, the version and the checksum, then validate every
-field they use: exact key sets and JSON types, the payload size against
-what the spec or the shapes imply, truth codes and concept ids against
-their ranges. Any malformed file raises DataFormatError. Version 1 files,
-whose checksum left the header out, are not read; `noisycir generate`
-rewrites a dataset deterministically from its spec.
+Writes stream the header and the payload in chunks (a dataset's are slices of
+its records, as they are), with a running checksum, to a temp file in the
+target directory that is renamed into place: a failed write leaves no partial
+artifact. Readers read the preamble and the header, then the rest with one
+readinto of a preallocated array, whose bytes a dataset's records view in
+place. They check the magic, the version and the checksum before they parse
+the header, then validate every field they use: exact key sets and JSON types,
+the payload size against what the spec or the shapes imply, truth codes and
+concept ids against their ranges. Any malformed file raises DataFormatError.
+Version 1 files, whose checksum left the header out, are not read:
+`noisycir generate` rewrites a dataset deterministically from its spec.
 """
 
 from __future__ import annotations
@@ -37,15 +39,13 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from .autodiff import ParamStore
-from .errors import ConfigError, DataFormatError
-from .synth import (TRUTH_CLEAN, TRUTH_MISMATCHED, TRUTH_PARTIAL, DatasetSpec,
-                    TokenBundle, TripletSample)
+from .errors import ConfigError, DataFormatError, is_json_type
+from .synth import TRUTHS, Dataset, DatasetSpec
 
 MAGIC_DATASET = b"NCLD"
 MAGIC_WEIGHTS = b"NCLW"
 VERSION = 2
 
-_TRUTHS = (TRUTH_CLEAN, TRUTH_PARTIAL, TRUTH_MISMATCHED)
 _CHUNK = 256  # dataset records per write and checksum update
 
 
@@ -81,121 +81,88 @@ def _container(magic: bytes, header: dict,
     yield struct.pack("<I", crc)
 
 
-def _read(path: str, magic: bytes, kind: str, keys: set[str]) -> tuple[dict, memoryview]:
-    """The file's header, with exactly the given keys, and its payload."""
+def _read(path: str, magic: bytes, kind: str, keys: set[str]) -> tuple[dict, np.ndarray]:
+    """The header, with exactly the given keys, and the payload bytes, checksummed first."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 14:
-        raise DataFormatError("truncated file: preamble incomplete")
-    if blob[:4] != magic:
-        raise DataFormatError(f"bad magic: expected {magic!r}")
-    # before the checksum: version 1's covered the payload alone
-    (version,) = struct.unpack("<H", blob[4:6])
-    if version != VERSION:
-        raise DataFormatError(f"unsupported version {version}; regenerate the "
-                              "file with `noisycir generate`")
-    body = memoryview(blob)[:-4]
-    if struct.unpack("<I", blob[-4:])[0] != zlib.crc32(body):
+        size = os.fstat(fh.fileno()).st_size
+        if size < 14:
+            raise DataFormatError("truncated file: preamble incomplete")
+        head = fh.read(10)
+        if head[:4] != magic:
+            raise DataFormatError(f"bad magic: expected {magic!r}")
+        # before the checksum: version 1's covered the payload alone
+        (version, hdr_len) = struct.unpack("<HI", head[4:])
+        if version != VERSION:
+            raise DataFormatError(f"unsupported version {version}; regenerate the "
+                                  "file with `noisycir generate`")
+        if 14 + hdr_len > size:
+            raise DataFormatError("truncated file: header incomplete")
+        head += fh.read(hdr_len)
+        rest = np.empty(size - len(head), np.uint8)  # the payload, then the checksum
+        if fh.readinto(rest) != rest.size:
+            raise DataFormatError("truncated file: payload incomplete")
+    payload = rest[:-4]
+    if int.from_bytes(rest[-4:].tobytes(), "little") != zlib.crc32(payload, zlib.crc32(head)):
         raise DataFormatError("checksum mismatch")
-    (hdr_len,) = struct.unpack("<I", blob[6:10])
-    if 10 + hdr_len > len(body):
-        raise DataFormatError("truncated file: header incomplete")
     try:
-        header = json.loads(blob[10:10 + hdr_len].decode("utf-8"))
+        header = json.loads(head[10:].decode("utf-8"))
     except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
         raise DataFormatError(f"unreadable header: {exc}") from None
     if not isinstance(header, dict) or set(header) != keys:
         raise DataFormatError(f"header must hold exactly the keys {sorted(keys)}")
     if header["kind"] != kind:
         raise DataFormatError(f"not a {kind} file")
-    return header, body[10 + hdr_len:]
+    return header, payload
 
 
 def _get(obj: dict, key: str, kind: type, where: str = "header"):
-    """obj[key], which must exist and be of the given JSON type.
-
-    A bool is not accepted where a number is expected; an int is accepted
-    where a float is.
-    """
+    """obj[key], which must exist and be of the given JSON type."""
     if key not in obj:
         raise DataFormatError(f"{where} lacks {key!r}")
-    value = obj[key]
-    kinds = (int, float) if kind is float else kind
-    if isinstance(value, bool) or not isinstance(value, kinds):
+    if not is_json_type(obj[key], kind):
         raise DataFormatError(f"{where} {key!r} must be a JSON {kind.__name__}")
-    return value
+    return obj[key]
 
 
 def _spec_from_header(header: dict) -> DatasetSpec:
     raw = _get(header, "spec", dict)
-    fields = dataclasses.fields(DatasetSpec)
-    if set(raw) != {f.name for f in fields}:
+    if set(raw) != {f.name for f in dataclasses.fields(DatasetSpec)}:
         raise DataFormatError(f"spec keys {sorted(raw)} do not match DatasetSpec")
-    for f in fields:
-        _get(raw, f.name, type(f.default), "spec")
     spec = DatasetSpec(**raw)
     try:
-        spec.validate()
+        spec.validate()  # every field's JSON type too
     except ConfigError as exc:
         raise DataFormatError(f"invalid spec: {exc}") from None
     return spec
 
 
-def _sample_arrays(s: TripletSample) -> list[np.ndarray]:
-    """A sample's record in file order: tokens then attention, per bundle,
-    then its truth code and concept ids."""
-    return [a for b in (s.mod_text, s.ref_image, s.tar_image)
-            for a in (b.tokens, b.attention)] + [
-        np.array([_TRUTHS.index(s.truth), *s.concept_ids], dtype=np.float64)]
-
-
-def _codes(values: np.ndarray, limit: int, what: str) -> list:
-    """values as Python ints; each must be a whole number in [0, limit)."""
+def _check_codes(values: np.ndarray, limit: int, what: str) -> None:
+    """Each value must be a whole number in [0, limit)."""
     bad = np.argwhere(~((values >= 0) & (values < limit) & (values == np.floor(values))))
     if bad.size:
         i = bad[0][0]
         raise DataFormatError(f"sample {i}: bad {what} {values[i].tolist()!r}")
-    return values.astype(np.int64).tolist()
 
 
-def write_dataset(samples: list[TripletSample], spec: DatasetSpec, path: str) -> None:
+def write_dataset(dataset: Dataset, spec: DatasetSpec, path: str) -> None:
     header = {"kind": "dataset", "spec": dataclasses.asdict(spec),
-              "n_samples": len(samples)}
-    chunks = (np.concatenate([a.ravel() for s in samples[i:i + _CHUNK] for a in _sample_arrays(s)])
-              for i in range(0, len(samples), _CHUNK))
+              "n_samples": len(dataset)}
+    chunks = (dataset.records[i:i + _CHUNK] for i in range(0, len(dataset), _CHUNK))
     _atomic_write(path, _container(MAGIC_DATASET, header, chunks))
 
 
-def read_dataset(path: str) -> tuple[list[TripletSample], DatasetSpec]:
+def read_dataset(path: str) -> tuple[Dataset, DatasetSpec]:
     header, payload = _read(path, MAGIC_DATASET, "dataset",
                             {"kind", "spec", "n_samples"})
     spec = _spec_from_header(header)
-    n, m, d = spec.text_tokens, spec.image_patches, spec.dim
-    # floats per bundle: tokens then attention, for the text and two images
-    sizes = [(n + 2) * d, n + 2, (m + 1) * d, m + 1, (m + 1) * d, m + 1]
-    stride = sum(sizes) + 3
     n_samples = _get(header, "n_samples", int)
-    if n_samples < 0 or len(payload) != n_samples * stride * 8:
+    if n_samples < 0 or payload.size != n_samples * spec.record_size * 8:
         raise DataFormatError("payload size disagrees with n_samples and spec")
-
-    rows = np.frombuffer(payload, dtype="<f8").reshape(n_samples, stride)
-    truths = _codes(rows[:, -3], len(_TRUTHS), "truth code")
-    concept_ids = _codes(rows[:, -2:], spec.num_concepts, "concept ids")
-    # Each array is copied on its own: small copies reuse freed heap memory,
-    # where one copy of the whole payload would raise the peak footprint.
-    bounds = np.cumsum([0] + sizes)
-    samples: list[TripletSample] = []
-    for i in range(n_samples):
-        mod_t, mod_a, ref_t, ref_a, tar_t, tar_a = (
-            rows[i, a:b].copy() for a, b in zip(bounds[:-1], bounds[1:]))
-        samples.append(TripletSample(
-            mod_text=TokenBundle(mod_t.reshape(n + 2, d), mod_a, n + 1, "text"),
-            ref_image=TokenBundle(ref_t.reshape(m + 1, d), ref_a, 0, "image"),
-            tar_image=TokenBundle(tar_t.reshape(m + 1, d), tar_a, 0, "image"),
-            truth=_TRUTHS[truths[i]],
-            concept_ids=tuple(concept_ids[i]),
-        ))
-    return samples, spec
+    # the records are the bytes read, viewed in place
+    records = payload.view("<f8").reshape(n_samples, spec.record_size)
+    _check_codes(records[:, -3], len(TRUTHS), "truth code")
+    _check_codes(records[:, -2:], spec.num_concepts, "concept ids")
+    return Dataset(records, spec), spec
 
 
 def write_weights(store: ParamStore, path: str, extra: dict | None = None) -> None:

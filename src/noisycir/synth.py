@@ -7,8 +7,10 @@ are planted unit anchors; triplets encode an edit direction from a
 reference concept to a target concept, with controllable injection of
 mismatched and partially matched targets plus ground-truth noise labels.
 
-Samples are built in blocks that their bundles view. A per-sample loop only
-draws, normals straight into place; centring, eot and cls means, placing the
+A Dataset is one float64 array of records in the .ncld payload's layout
+(see storage), and every bundle a strided view of it. Samples are built in
+blocks written straight into their records: a per-sample loop only draws,
+normals straight into place; centring, eot and cls means, placing the
 distractors and attention then run once per block. Sample i draws only from
 SeedSequence([seed, 1, i]), in a fixed order, whatever the block or its size.
 """
@@ -17,15 +19,17 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, check_seed_and_floats
+from .errors import ConfigError, ShapeError, check_field_types
 
 TRUTH_CLEAN = "clean"
 TRUTH_MISMATCHED = "mismatched"
 TRUTH_PARTIAL = "partial"
+TRUTHS = (TRUTH_CLEAN, TRUTH_PARTIAL, TRUTH_MISMATCHED)  # a record's truth code indexes it
 
 # Planted attention on a distractor token, as a fraction of the uniform
 # weight, before normalization. Normalized weight stays below 1/(10L).
@@ -47,7 +51,7 @@ class DatasetSpec:
     seed: int = 0
 
     def validate(self) -> None:
-        check_seed_and_floats(self)
+        check_field_types(self)
         if min(self.num_concepts, self.dim, self.text_tokens,
                self.image_patches, self.num_triplets) < 1:
             raise ConfigError("all dataset counts must be >= 1")
@@ -64,16 +68,38 @@ class DatasetSpec:
         if self.noise_scale < 0:
             raise ConfigError("noise_scale must be >= 0")
 
+    @property
+    def record_size(self) -> int:
+        """Floats per record: d tokens and 1 attention weight per bundle row, then 3 codes."""
+        return (self.text_tokens + 2 + 2 * (self.image_patches + 1)) * (self.dim + 1) + 3
+
 
 @dataclass
 class TokenBundle:
-    tokens: np.ndarray          # (L, d)
-    attention: np.ndarray       # (L,), nonnegative, sums to 1
+    """One bundle, tokens (L, d) and attention (L,), or equal-shape bundles packed
+    as (..., L, d) and (..., L), which index and iterate as one-bundle views."""
+
+    tokens: np.ndarray
+    attention: np.ndarray       # nonnegative, each bundle's sums to 1
     global_index: int           # eot row for text, cls row for image
     modality: str               # "text" | "image"
 
+    def __post_init__(self) -> None:
+        shape = self.tokens.shape
+        if (self.attention.ndim == 0 or shape[:-1] != self.attention.shape
+                or not 0 <= self.global_index < shape[-2]):
+            raise ShapeError(f"bundle of tokens {shape}, attention {self.attention.shape} "
+                             f"and global row {self.global_index}")
+
     def global_token(self) -> np.ndarray:
-        return self.tokens[self.global_index]
+        return self.tokens[..., self.global_index, :]
+
+    def __getitem__(self, index) -> TokenBundle:
+        return TokenBundle(self.tokens[index], self.attention[index], self.global_index,
+                           self.modality)
+
+    def __iter__(self) -> Iterator[TokenBundle]:
+        return map(self.__getitem__, np.ndindex(self.tokens.shape[:-2]))
 
 
 @dataclass
@@ -87,6 +113,47 @@ class TripletSample:
     @property
     def is_noisy(self) -> bool:
         return self.truth != TRUTH_CLEAN
+
+
+class Dataset:
+    """Triplets as the rows of one (N, spec.record_size) array, with (N, L, d)
+    bundle views mod_text, ref_image and tar_image, and images, the last two
+    as one (2, N, L, d) view. An int index gives a TripletSample of views; a
+    slice or an index array, the Dataset of those records (an array's gathered)."""
+
+    def __init__(self, records: np.ndarray, spec: DatasetSpec):
+        if records.shape[1:] != (spec.record_size,):
+            raise ShapeError(f"records of shape {records.shape}, not (N, {spec.record_size})")
+        n, m, w = spec.text_tokens + 2, spec.image_patches + 1, spec.dim + 1
+        self.records, self.spec = records, spec
+        self.mod_text = _bundles(records[:, :n * w], n, n - 1, "text")
+        pair = records[:, n * w:-3].reshape(len(records), 2, m * w).swapaxes(0, 1)
+        self.images = _bundles(pair, m, 0, "image")
+        self.ref_image, self.tar_image = self.images[0], self.images[1]
+
+    @property
+    def is_noisy(self) -> np.ndarray:
+        return self.records[:, -3] != TRUTHS.index(TRUTH_CLEAN)
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def __getitem__(self, index) -> TripletSample | Dataset:
+        if isinstance(index, (int, np.integer)):
+            code, r, t = self.records[index, -3:].astype(np.intp).tolist()
+            return TripletSample(self.mod_text[index], self.ref_image[index],
+                                 self.tar_image[index], TRUTHS[code], (r, t))
+        return Dataset(self.records[index], self.spec)
+
+    def __iter__(self) -> Iterator[TripletSample]:
+        return map(self.__getitem__, range(len(self)))
+
+
+def _bundles(block: np.ndarray, rows: int, global_index: int, modality: str) -> TokenBundle:
+    """Bundle views of block (..., rows * (d + 1)): tokens then attention."""
+    d = block.shape[-1] // rows - 1
+    tokens = block[..., :rows * d].reshape(*block.shape[:-1], rows, d)
+    return TokenBundle(tokens, block[..., rows * d:], global_index, modality)
 
 
 def make_concepts(spec: DatasetSpec) -> np.ndarray:
@@ -134,17 +201,19 @@ def _finish(tokens: np.ndarray, row: np.ndarray, jitter: np.ndarray, center: np.
     return att / att.sum(axis=1, keepdims=True)
 
 
-def _build(concepts: np.ndarray, spec: DatasetSpec, indices) -> list[TripletSample]:
-    """The samples at `indices`, built as one block."""
+def _build(concepts: np.ndarray, spec: DatasetSpec, indices, records: np.ndarray) -> None:
+    """Write the samples at `indices` into `records`, their rows of a
+    dataset's records, as one block."""
     c = concepts.shape[0]
     if c < 2:
         raise ConfigError("need at least 2 concepts to form an edit triplet")
     n, m, d, sigma = spec.text_tokens, spec.image_patches, spec.dim, spec.noise_scale
     b, k = len(indices), m - math.ceil(spec.distractor_fraction * m)
-    text, text_jitter = np.empty((b, n + 2, d)), np.empty((b, n + 1))
-    img, jitter = np.empty((2, b, m + 1, d)), np.empty((2, b, k + 1))  # reference, target
+    block = Dataset(records, spec)
+    text, text_jitter = block.mod_text.tokens, np.empty((b, n + 1))
+    img, jitter = block.images.tokens, np.empty((2, b, k + 1))  # reference, target
     row = np.zeros((2, b, m + 1), np.intp)
-    pairs, truths, tar_ids = [], [], np.empty((b, 2), np.intp)  # target centred on their mean
+    pairs, tar_ids = [], np.empty((b, 2), np.intp)  # target centred on their mean
     for i, index in enumerate(indices):
         rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 1, index]))
         r = int(rng.integers(c))
@@ -159,34 +228,36 @@ def _build(concepts: np.ndarray, spec: DatasetSpec, indices) -> list[TripletSamp
         noisy, wrong = u < spec.mismatch_rate + spec.partial_rate, u < spec.mismatch_rate
         other = int((t + 1 + rng.integers(c - 1)) % c) if noisy else t
         tar_ids[i] = other if wrong else t, other
-        truths.append(TRUTH_MISMATCHED if wrong else TRUTH_PARTIAL if noisy else TRUTH_CLEAN)
+        records[i, -3:] = noisy + wrong, r, t  # TRUTHS index (wrong implies noisy)
         _draw_image(rng, img[1, i], row[1, i], jitter[1, i])
 
     diffs = {(r, t): concepts[t] - concepts[r] for r, t in set(pairs)}
     unit = {p: v / np.linalg.norm(v) for p, v in diffs.items()}  # 1-D norms, as per sample
-    text_att = _finish(text, np.broadcast_to(np.r_[1:n + 1, 0, n + 1], (b, n + 2)), text_jitter,
-                       np.array([unit[p] for p in pairs]), sigma, np.r_[:n, -1])
+    block.mod_text.attention[:] = _finish(
+        text, np.broadcast_to(np.r_[1:n + 1, 0, n + 1], (b, n + 2)), text_jitter,
+        np.array([unit[p] for p in pairs]), sigma, np.r_[:n, -1])
     free = np.broadcast_to(np.arange(m + 1) > 0, row.shape).copy()  # patches not drawn
     np.put_along_axis(free, row[..., k:m], False, axis=2)
     row[..., :k] = np.nonzero(free)[2].reshape(2, b, k)  # the informative ones, in order
     a, o = tar_ids.T
     tar_center = np.where((a != o)[:, None], 0.5 * concepts[a] + 0.5 * concepts[o], concepts[a])
-    ref_att, tar_att = (_finish(img[j], row[j], jitter[j], center, sigma, np.r_[-1, :k])
-                        for j, center in enumerate((concepts[[r for r, _ in pairs]], tar_center)))
-    return [TripletSample(TokenBundle(text[i], text_att[i], n + 1, "text"),
-                          TokenBundle(img[0, i], ref_att[i], 0, "image"),
-                          TokenBundle(img[1, i], tar_att[i], 0, "image"),
-                          truth=truths[i], concept_ids=pairs[i]) for i in range(b)]
+    for j, center in enumerate((concepts[[r for r, _ in pairs]], tar_center)):
+        block.images.attention[j] = _finish(img[j], row[j], jitter[j], center, sigma,
+                                            np.r_[-1, :k])
 
 
 def synth_triplet(concepts: np.ndarray, spec: DatasetSpec, index: int) -> TripletSample:
     """Generate sample `index` deterministically from (spec, seed, index)."""
     if not 0 <= index < spec.num_triplets:
         raise ConfigError(f"index {index} out of range for N={spec.num_triplets}")
-    return _build(concepts, spec, [index])[0]
+    records = np.empty((1, spec.record_size))
+    _build(concepts, spec, [index], records)
+    return Dataset(records, spec)[0]
 
 
-def generate_dataset(spec: DatasetSpec) -> list[TripletSample]:
+def generate_dataset(spec: DatasetSpec) -> Dataset:
     concepts, n = make_concepts(spec), spec.num_triplets
-    return [s for i in range(0, n, _BLOCK)
-            for s in _build(concepts, spec, range(i, min(i + _BLOCK, n)))]
+    records = np.empty((n, spec.record_size))
+    for i in range(0, n, _BLOCK):
+        _build(concepts, spec, range(i, min(i + _BLOCK, n)), records[i:i + _BLOCK])
+    return Dataset(records, spec)

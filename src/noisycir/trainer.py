@@ -24,10 +24,10 @@ from . import fusion, nfb
 from .autodiff import (ParamStore, Tape, Var, cosine_values, slice_rows,
                        xent_values)
 from .errors import (ConfigError, DegenerateInputError, NumericalError,
-                     check_seed_and_floats)
+                     check_field_types)
 from .evaluation import (FilterScore, cosine_similarity_matrix, evaluate_filter,
                          recall_from_similarity)
-from .synth import TripletSample
+from .synth import Dataset
 from .wcb import IMAGE_MLP, TEXT_MLP, compensate_batch
 
 RECALL_KS = (1, 10, 50)
@@ -52,7 +52,7 @@ class TrainConfig:
     eval_fraction: float = 0.2
 
     def validate(self) -> None:
-        check_seed_and_floats(self)
+        check_field_types(self)
         if self.batch_size < 4:
             raise ConfigError("batch_size must be >= 4")
         if self.epochs < 0:
@@ -169,19 +169,17 @@ class BatchViews:
         return out
 
 
-def forward_batch(tape: Tape, store: ParamStore, samples: list[TripletSample],
+def forward_batch(tape: Tape, store: ParamStore, batch: Dataset,
                   enable_wcb: bool) -> BatchViews:
-    """Build query/target embeddings for both views over one batch."""
-    text_g = tape.const(np.stack([s.mod_text.global_token() for s in samples]))
-    ref_g = tape.const(np.stack([s.ref_image.global_token() for s in samples]))
-    tar_g = tape.const(np.stack([s.tar_image.global_token() for s in samples]))
+    """Query/target embeddings of both views over one batch, a Dataset like samples[idx]."""
+    text_g, ref_g, tar_g = (tape.const(g) for g in (batch.mod_text.global_token(),
+                                                    *batch.images.global_token()))
     q = fusion.fuse_query(text_g, ref_g, store, fusion.VIEW_GLOBAL)
     views = BatchViews(q=q, t=tar_g)
     if enable_wcb:
-        text_w = compensate_batch(tape, store, [s.mod_text for s in samples], TEXT_MLP)
-        images = [s.ref_image for s in samples] + [s.tar_image for s in samples]
-        both = compensate_batch(tape, store, images, IMAGE_MLP)
-        b = len(samples)
+        text_w = compensate_batch(tape, store, batch.mod_text, TEXT_MLP)
+        both = compensate_batch(tape, store, batch.images, IMAGE_MLP)  # references, targets
+        b = len(batch)
         ref_w = slice_rows(both, 0, b)
         tar_w = slice_rows(both, b, 2 * b)
         views.q_wcb = fusion.fuse_query(text_w, ref_w, store, fusion.VIEW_WCB)
@@ -189,19 +187,17 @@ def forward_batch(tape: Tape, store: ParamStore, samples: list[TripletSample],
     return views
 
 
-def split_dataset(samples: list[TripletSample],
+def split_dataset(samples: Dataset,
                   config: TrainConfig) -> tuple[list[int], list[int]]:
     """Holdout a clean evaluation split; everything else trains."""
-    clean = [i for i, s in enumerate(samples) if not s.is_noisy]
+    clean = np.flatnonzero(~samples.is_noisy).tolist()
     if not clean:
         raise DegenerateInputError("no clean pair to hold out for evaluation")
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 4]))
     perm = rng.permutation(len(clean))
     n_eval = max(1, int(round(config.eval_fraction * len(clean))))
     eval_idx = sorted(clean[j] for j in perm[:n_eval])
-    eval_set = set(eval_idx)
-    train_idx = [i for i in range(len(samples)) if i not in eval_set]
-    return train_idx, eval_idx
+    return np.setdiff1d(np.arange(len(samples)), eval_idx).tolist(), eval_idx
 
 
 def _batches(indices: np.ndarray, batch_size: int,
@@ -217,7 +213,7 @@ def _batches(indices: np.ndarray, batch_size: int,
     return out
 
 
-def _collect_epoch_losses(store: ParamStore, samples: list[TripletSample],
+def _collect_epoch_losses(store: ParamStore, samples: Dataset,
                           train_idx: list[int], config: TrainConfig
                           ) -> list[np.ndarray]:
     """Detached per-sample losses over the whole training split, one vector
@@ -230,8 +226,7 @@ def _collect_epoch_losses(store: ParamStore, samples: list[TripletSample],
     embedded = []
     for chunk in chunks:
         with Tape() as tape:
-            views = forward_batch(tape, store, [samples[i] for i in chunk],
-                                  config.enable_wcb)
+            views = forward_batch(tape, store, samples[chunk], config.enable_wcb)
         embedded.append([(q.value, t.value) for q, t in views.pairs()])
     # one stacked (n, B, B) loss call per view; a tail of another size goes alone
     n_full = len(chunks) - (len(chunks[-1]) != config.batch_size)
@@ -261,20 +256,16 @@ def _diagnostics(store: ParamStore) -> str:
     return ", ".join(f"{k}={v:.3e}" for k, v in sorted(norms.items()))
 
 
-def evaluate_retrieval(store: ParamStore, samples: list[TripletSample],
+def evaluate_retrieval(store: ParamStore, samples: Dataset,
                        enable_wcb: bool) -> dict[int, float]:
     """Recall@K over the holdout; similarity averaged across enabled views."""
     with Tape() as tape:
-        views = forward_batch(tape, store, samples, enable_wcb)
-    sims = np.zeros((len(samples), len(samples)))
-    for q, t in views.pairs():
-        sims += cosine_similarity_matrix(q.value, t.value)
-    sims /= len(views.pairs())
-    n = len(samples)
-    return {k: recall_from_similarity(sims, min(k, n)) for k in RECALL_KS}
+        pairs = forward_batch(tape, store, samples, enable_wcb).pairs()
+    sims = sum(cosine_similarity_matrix(q.value, t.value) for q, t in pairs) / len(pairs)
+    return {k: recall_from_similarity(sims, min(k, len(samples))) for k in RECALL_KS}
 
 
-def train_epoch(store: ParamStore, optimizer: Adam, samples: list[TripletSample],
+def train_epoch(store: ParamStore, optimizer: Adam, samples: Dataset,
                 train_idx: list[int], eval_idx: list[int], config: TrainConfig,
                 epoch: int) -> tuple[MetricsRecord, list[FilterReportRow]]:
     filtering = config.enable_nfb and epoch >= config.warmup_epochs
@@ -302,8 +293,7 @@ def train_epoch(store: ParamStore, optimizer: Adam, samples: list[TripletSample]
     label_n = 0
     for batch_no, chunk in enumerate(_batches(order, config.batch_size)):
         with Tape() as tape:
-            views = forward_batch(tape, store, [samples[i] for i in chunk],
-                                  config.enable_wcb)
+            views = forward_batch(tape, store, samples[chunk], config.enable_wcb)
             vecs = [fusion.nce_per_sample(q, t, config.temperature)
                     for q, t in views.pairs()]
             if not filtering:
@@ -324,14 +314,12 @@ def train_epoch(store: ParamStore, optimizer: Adam, samples: list[TripletSample]
         label_sum += labels.sum()
         label_n += len(labels)
 
-    recalls = evaluate_retrieval(store, [samples[i] for i in eval_idx],
-                                 config.enable_wcb)
+    recalls = evaluate_retrieval(store, samples[eval_idx], config.enable_wcb)
     score: FilterScore | None = None
     filter_rows: list[FilterReportRow] = []
     labelled = np.flatnonzero(~np.isnan(pair_labels))
     if labelled.size:
-        truth = np.array([samples[i].is_noisy for i in labelled])
-        score = evaluate_filter(pair_labels[labelled], truth)
+        score = evaluate_filter(pair_labels[labelled], samples.is_noisy[labelled])
         # with one view both rows describe the same fit
         for view, gmm in (("main", gmms[0]), ("wcb", gmms[-1])):
             filter_rows.append(FilterReportRow(
@@ -353,12 +341,11 @@ def train_epoch(store: ParamStore, optimizer: Adam, samples: list[TripletSample]
     return record, filter_rows
 
 
-def run_training(samples: list[TripletSample], config: TrainConfig,
+def run_training(samples: Dataset, config: TrainConfig,
                  store: ParamStore | None = None) -> TrainResult:
     config.validate()
-    dim = samples[0].mod_text.tokens.shape[1]
     if store is None:
-        store = init_params(dim, config.seed)
+        store = init_params(samples.spec.dim, config.seed)
     optimizer = Adam(store,
                      lr_by_group={"wcb": config.lr_wcb, "other": config.lr_other},
                      beta1=config.adam_beta1, beta2=config.adam_beta2,
@@ -383,7 +370,7 @@ ABLATION_VARIANTS = (
 )
 
 
-def run_ablation(samples: list[TripletSample],
+def run_ablation(samples: Dataset,
                  config: TrainConfig) -> list[dict[str, object]]:
     """Train the four flag combinations under identical seeds; final metrics."""
     rows: list[dict[str, object]] = []
@@ -391,9 +378,6 @@ def run_ablation(samples: list[TripletSample],
         cfg = dataclasses.replace(config, enable_wcb=use_wcb, enable_nfb=use_nfb)
         result = run_training(samples, cfg)
         final = result.records[-1] if result.records else None
-        r1 = final.recall_at_1 if final else 0.0
-        r10 = final.recall_at_10 if final else 0.0
-        r50 = final.recall_at_50 if final else 0.0
-        rows.append({"variant": name, "R@1": r1, "R@10": r10, "R@50": r50,
-                     "Avg": (r1 + r10 + r50) / 3.0})
+        recalls = {f"R@{k}": getattr(final, f"recall_at_{k}", 0.0) for k in RECALL_KS}
+        rows.append({"variant": name, **recalls, "Avg": sum(recalls.values()) / 3.0})
     return rows

@@ -11,14 +11,19 @@ its losses were stacked: one forward_batch and one nce_per_sample per chunk.
 synth_triplet and generate_dataset are the synthetic generator as it ran
 before it built samples in blocks: every token and attention row is
 computed per sample, from the same draws of the sample's own generator.
+
+token_rows and compensate_batch are the weight compensation as it ran
+before datasets were packed: a list of per-sample bundles, checked for one
+shape and one global row, then concatenated bundle by bundle.
 """
 
 import math
 
 import numpy as np
 
+from noisycir import autodiff as ad
 from noisycir import trainer
-from noisycir.autodiff import _NORM_EPS, Tape, Var, _fault, _same_tape
+from noisycir.autodiff import _NORM_EPS, ParamStore, Tape, Var, _fault, _same_tape
 from noisycir.errors import DegenerateInputError, ShapeError
 from noisycir.evaluation import cosine_similarity_matrix, recall_from_similarity
 from noisycir.fusion import nce_per_sample
@@ -127,8 +132,7 @@ def taped_epoch_losses(store, samples, train_idx, config) -> list[np.ndarray]:
     per_chunk = []
     for chunk in trainer._batches(np.asarray(train_idx), config.batch_size,
                                   fold_tail=True):
-        views = trainer.forward_batch(Tape(), store, [samples[i] for i in chunk],
-                                      config.enable_wcb)
+        views = trainer.forward_batch(Tape(), store, samples[chunk], config.enable_wcb)
         per_chunk.append([nce_per_sample(q, t, config.temperature).value[:, 0]
                           for q, t in views.pairs()])
     return [np.concatenate(view) for view in zip(*per_chunk)]
@@ -200,3 +204,27 @@ def synth_triplet(concepts: np.ndarray, spec: DatasetSpec, index: int) -> Triple
 def generate_dataset(spec: DatasetSpec) -> list[TripletSample]:
     concepts = make_concepts(spec)
     return [synth_triplet(concepts, spec, i) for i in range(spec.num_triplets)]
+
+
+def token_rows(bundles: list[TokenBundle]) -> tuple[np.ndarray, np.ndarray]:
+    """Attention-weighted non-global rows (B * (L-1), d), bundle by bundle, and
+    the global tokens (B, d) of B equal-shape bundles sharing a global_index."""
+    key = (bundles[0].global_index, bundles[0].tokens.shape, bundles[0].attention.shape)
+    if any((b.global_index, b.tokens.shape, b.attention.shape) != key for b in bundles):
+        raise ShapeError(
+            "compensate_batch requires equal-shape bundles with one global_index")
+    gi, (length, d) = key[0], key[1]
+    tokens = np.concatenate([b.tokens for b in bundles]).reshape(-1, length, d)
+    attention = np.concatenate([b.attention for b in bundles]).reshape(-1, length, 1)
+    weighted = attention * tokens
+    rows = np.concatenate([weighted[:, :gi], weighted[:, gi + 1:]], axis=1)
+    return rows.reshape(-1, d), tokens[:, gi]
+
+
+def compensate_batch(tape: Tape, store: ParamStore, bundles: list[TokenBundle],
+                     name: str) -> Var:
+    """Compensated (B, d) rows of a list of B bundles."""
+    rows, global_tokens = token_rows(bundles)
+    pooled = ad.maxpool_segments(ad.mlp_forward(tape.const(rows), store, name),
+                                 len(bundles))
+    return ad.add(pooled, tape.const(global_tokens))

@@ -83,6 +83,39 @@ class TestGenerate:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("train", "batch_size", 16.5),
+        ("dataset", "num_triplets", 2.5),
+        ("train", "epochs", True),
+        ("train", "enable_wcb", "no"),
+        ("train", "enable_nfb", 1),
+        ("train", "filter_scope", 1),
+        ("train", "lr_wcb", "0.1"),
+        ("dataset", "mismatch_rate", False),
+        ("dataset", "seed", 1.0),
+    ], ids=["int-field-float", "count-float", "int-field-bool", "bool-field-str",
+            "bool-field-int", "str-field-int", "float-field-str", "float-field-bool",
+            "seed-float"])
+    def test_wrongly_typed_value_exits_1_without_traceback(self, tmp_path, capsys,
+                                                           section, key, value):
+        # every field takes only its default's JSON type, so no wrong type
+        # reaches the code that uses it
+        cfg = tmp_path / "typed.json"
+        cfg.write_text(json.dumps({**SMALL, section: {**SMALL[section], key: value}}))
+        out = tmp_path / "d.ncld"
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} must be a JSON ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
+    def test_int_is_accepted_where_a_float_is_expected(self, tmp_path):
+        cfg = tmp_path / "int.json"
+        cfg.write_text(json.dumps({**SMALL, "dataset": {**SMALL["dataset"],
+                                                        "mismatch_rate": 0}}))
+        assert main(["generate", "--config", str(cfg),
+                     "--out", str(tmp_path / "d.ncld")]) == EXIT_OK
+
     def test_nan_learning_rate_exits_1(self, tmp_path, dataset_path, capsys):
         cfg = tmp_path / "nan.json"
         cfg.write_text(json.dumps({"dataset": SMALL["dataset"],
@@ -149,6 +182,31 @@ class TestTrain:
         assert not (run / "filter_report.csv").exists()
         meta = json.loads((run / "run_meta.json").read_text())
         assert "filter disabled" in meta["notes"]
+
+    @pytest.mark.parametrize("n, fraction, n_eval", [(10, 0.01, 1), (300, 0.2, 60)])
+    def test_eval_set_smaller_than_max_k_is_noted(self, tmp_path, capsys, n,
+                                                   fraction, n_eval):
+        # R@50 over fewer than 50 pairs is 1.0 by construction; say so
+        cfg_path = tmp_path / "small_eval.json"
+        cfg_path.write_text(json.dumps({
+            "dataset": {**SMALL["dataset"], "num_triplets": n, "mismatch_rate": 0.0},
+            "train": {**SMALL["train"], "epochs": 1, "batch_size": 4,
+                      "eval_fraction": fraction}}))
+        data, run = tmp_path / "d.ncld", tmp_path / "run"
+        assert main(["generate", "--config", str(cfg_path), "--out", str(data)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg_path), "--dataset", str(data),
+                     "--out", str(run)]) == EXIT_OK
+        out = capsys.readouterr().out
+        meta = json.loads((run / "run_meta.json").read_text())
+        assert meta["n_eval"] == n_eval
+        note = (f"eval set of {n_eval} pairs is smaller than K=50: "
+                f"R@K is 1.0 for every K >= {n_eval}")
+        assert (note in out) == (note in meta["notes"]) == (n_eval < 50)
+        lines = (run / "summary.csv").read_text().splitlines()
+        assert lines[0].startswith("epoch,train_loss,") and len(lines) == 2
+        if n_eval == 1:
+            assert lines[1].split(",")[3:6] == ["1.0", "1.0", "1.0"]
 
     def test_variant_override(self, config_path, dataset_path, tmp_path):
         run = tmp_path / "run_b"

@@ -2,6 +2,7 @@ import json
 import os
 import stat
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from noisycir.autodiff import ParamStore
 from noisycir.cli import EXIT_DATA, main
 from noisycir.errors import DataFormatError
+from noisycir import storage
 from noisycir.storage import (MAGIC_DATASET, read_dataset, read_weights,
                               write_dataset, write_weights)
 from noisycir.synth import DatasetSpec, generate_dataset
@@ -333,3 +335,61 @@ def test_fuzz_byte_flips_and_truncations(tmp_path):
             probe.write_bytes(blob[:k])
             with pytest.raises(DataFormatError):
                 reader(str(probe))
+
+
+# At N=1000 the file is 11.6 MB; the records are held once, and nothing
+# else of that size is allocated on the way to or from the file.
+MEMORY_SPEC = DatasetSpec(num_triplets=1000, mismatch_rate=0.2, partial_rate=0.1)
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak of what it allocated, as tracemalloc counts it
+    (NumPy reports its array buffers to tracemalloc)."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def memory_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("memory") / "data.ncld"
+    write_dataset(generate_dataset(MEMORY_SPEC), MEMORY_SPEC, str(path))
+    return path
+
+
+def test_generated_dataset_holds_at_most_1_25x_the_file(memory_file):
+    samples, peak = _traced_peak(generate_dataset, MEMORY_SPEC)
+    assert len(samples) == MEMORY_SPEC.num_triplets
+    assert peak <= 1.25 * memory_file.stat().st_size
+
+
+def test_write_allocates_at_most_one_chunk(memory_file, tmp_path):
+    samples = generate_dataset(MEMORY_SPEC)
+    path = tmp_path / "again.ncld"
+    _, peak = _traced_peak(write_dataset, samples, MEMORY_SPEC, str(path))
+    assert peak <= storage._CHUNK * MEMORY_SPEC.record_size * 8
+    assert path.read_bytes() == memory_file.read_bytes()
+
+
+def test_read_peak_is_at_most_1_25x_the_file(memory_file):
+    (loaded, _), peak = _traced_peak(read_dataset, str(memory_file))
+    assert peak <= 1.25 * memory_file.stat().st_size
+    # the records are the bytes read, and the bundles view them
+    assert loaded.records.shape == (MEMORY_SPEC.num_triplets, MEMORY_SPEC.record_size)
+    assert np.shares_memory(loaded.tar_image.tokens, loaded.records)
+
+
+def test_read_then_write_reproduces_the_file(dataset_file, tmp_path):
+    _, path = dataset_file
+    loaded, spec = read_dataset(str(path))
+    again = tmp_path / "again.ncld"
+    write_dataset(loaded, spec, str(again))
+    assert again.read_bytes() == path.read_bytes()

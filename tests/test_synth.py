@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from noisycir.errors import ConfigError
-from noisycir.synth import (DatasetSpec, generate_dataset, make_concepts,
+from noisycir.synth import (TRUTHS, DatasetSpec, generate_dataset, make_concepts,
                             synth_triplet)
 from tests import oracles
 
@@ -165,6 +165,58 @@ class TestBlockBuilder:
         samples = generate_dataset(spec)
         for i in (0, 1, 255, 256, 299):
             assert_same_samples([synth_triplet(concepts, spec, i)], [samples[i]])
+
+
+class TestPackedDataset:
+    """A Dataset is its records; every way of indexing it gives the same samples."""
+
+    SPEC = DatasetSpec(num_triplets=40, mismatch_rate=0.2, partial_rate=0.2, seed=3)
+
+    def test_int_slice_and_index_array_indexing_agree(self):
+        ds = generate_dataset(self.SPEC)
+        by_int = [ds[i] for i in range(len(ds))]
+        assert_same_samples(list(ds), by_int)
+        assert_same_samples(list(ds[5:9]), by_int[5:9])
+        assert_same_samples(list(ds[::7]), by_int[::7])
+        idx = np.array([7, 0, 39, 7, 12])
+        assert_same_samples(list(ds[idx]), [by_int[i] for i in idx])
+        assert_same_samples(list(ds[[3]]), [ds[np.int64(3)]])
+        assert_same_samples([ds[-1]], [by_int[39]])
+        assert_same_samples(list(ds[np.zeros(0, np.intp)]), [])
+        assert ds.is_noisy.tolist() == [s.is_noisy for s in by_int]
+        # a slice views the records; an index array gathers a copy of them
+        assert np.shares_memory(ds[5:9].records, ds.records)
+        assert not np.shares_memory(ds[idx].records, ds.records)
+        with pytest.raises(IndexError):
+            ds[40]
+
+    def test_a_record_is_its_sample_in_file_order(self):
+        ds = generate_dataset(self.SPEC)
+        for i in (0, 17, 39):
+            s = ds[i]
+            want = [a.ravel() for b in (s.mod_text, s.ref_image, s.tar_image)
+                    for a in (b.tokens, b.attention)]
+            want.append([TRUTHS.index(s.truth), *s.concept_ids])
+            assert np.array_equal(ds.records[i], np.concatenate(want))
+            assert all(type(c) is int for c in s.concept_ids)
+            assert isinstance(s.truth, str) and f"{s.concept_ids}" == repr(s.concept_ids)
+
+    def test_bundles_view_the_records(self):
+        ds = generate_dataset(self.SPEC)
+        n, m, d = self.SPEC.text_tokens, self.SPEC.image_patches, self.SPEC.dim
+        assert ds.mod_text.tokens.shape == (40, n + 2, d)
+        assert ds.images.tokens.shape == (2, 40, m + 1, d)
+        assert np.array_equal(ds.images.tokens[1], ds.tar_image.tokens)
+        assert np.array_equal(ds.images.global_token()[0], ds.ref_image.tokens[:, 0])
+        for b in (ds.mod_text, ds.images, ds[4].ref_image, ds[4].tar_image):
+            assert np.shares_memory(b.tokens, ds.records)
+            assert np.shares_memory(b.attention, ds.records)
+        # iterating a pack yields its bundles in C order: references, then targets
+        images = list(ds.images)
+        assert len(images) == 80
+        assert all(np.array_equal(b.tokens, s.ref_image.tokens)
+                   and np.array_equal(images[40 + i].attention, s.tar_image.attention)
+                   for i, (b, s) in enumerate(zip(images, ds)))
 
 
 class TestSpecValidation:

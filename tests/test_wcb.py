@@ -6,7 +6,7 @@ import pytest
 from noisycir import autodiff as ad
 from noisycir.autodiff import ParamStore, Tape, Var
 from noisycir.errors import ShapeError
-from noisycir.synth import DatasetSpec, TokenBundle, TripletSample, generate_dataset
+from noisycir.synth import Dataset, DatasetSpec, TokenBundle, TripletSample, generate_dataset
 from noisycir.trainer import init_params
 from noisycir.wcb import IMAGE_MLP, TEXT_MLP, compensate_batch
 from tests import oracles
@@ -196,8 +196,7 @@ class TestCompensateAll:
         samples = generate_dataset(SPEC)
         store = init_params(SPEC.dim, 1)
         tape = Tape()
-        batch = compensate_batch(tape, store, [s.ref_image for s in samples],
-                                 IMAGE_MLP)
+        batch = compensate_batch(tape, store, samples.ref_image, IMAGE_MLP)
         for i, s in enumerate(samples):
             single = compensate_bundle(tape, store, s.ref_image).vector
             assert np.allclose(batch.value[i], single.value[0], atol=1e-12)
@@ -207,10 +206,9 @@ class TestCompensateAll:
         samples = generate_dataset(SPEC)
         store = init_params(SPEC.dim, 1)
         if modality == "text":
-            bundles, name = [s.mod_text for s in samples], TEXT_MLP
+            bundles, name = samples.mod_text, TEXT_MLP
         else:
-            bundles = [s.ref_image for s in samples] + [s.tar_image for s in samples]
-            name = IMAGE_MLP
+            bundles, name = samples.images, IMAGE_MLP  # references, then targets
         tape = Tape()
         batch = compensate_batch(tape, store, bundles, name).value
         oracle = np.concatenate(
@@ -222,9 +220,8 @@ class TestCompensateAll:
             self, global_index):
         rng = np.random.default_rng(global_index)
         store = init_params(SPEC.dim, 1)
-        bundles = [TokenBundle(rng.standard_normal((7, SPEC.dim)),
-                               rng.dirichlet(np.ones(7)), global_index, "image")
-                   for _ in range(5)]
+        bundles = TokenBundle(rng.standard_normal((5, 7, SPEC.dim)),
+                              rng.dirichlet(np.ones(7), size=5), global_index, "image")
         tape = Tape()
         oracle = np.concatenate(
             [compensate_bundle(tape, store, b).vector.value for b in bundles])
@@ -238,7 +235,12 @@ class TestCompensateAll:
         b = samples[1].ref_image
         moved = TokenBundle(b.tokens, b.attention, 1, b.modality)
         with pytest.raises(ShapeError):
-            compensate_batch(Tape(), store, [a, moved], IMAGE_MLP)
+            oracles.compensate_batch(Tape(), store, [a, moved], IMAGE_MLP)
+        # a pack has one global row, and it must be one of its rows
+        rows = samples.images.tokens.shape[-2]
+        for bad in (rows, -1):
+            with pytest.raises(ShapeError):
+                TokenBundle(samples.images.tokens, samples.images.attention, bad, "image")
 
     def test_batch_rejects_mixed_shapes(self):
         samples = generate_dataset(SPEC)
@@ -246,7 +248,47 @@ class TestCompensateAll:
         b = samples[1].ref_image
         short = TokenBundle(b.tokens[:-1], b.attention[:-1], 0, b.modality)
         with pytest.raises(ShapeError):
-            compensate_batch(Tape(), store, [samples[0].ref_image, short], IMAGE_MLP)
+            oracles.compensate_batch(Tape(), store, [samples[0].ref_image, short],
+                                     IMAGE_MLP)
+        # packs: attention that is not one weight per token row, and records
+        # that are not the spec's
+        packed = samples.ref_image
+        with pytest.raises(ShapeError):
+            TokenBundle(packed.tokens, packed.attention[:, :-1], 0, "image")
+        with pytest.raises(ShapeError):
+            TokenBundle(packed.tokens[0, 0], packed.attention[0], 0, "image")
+        for records in (samples.records[:, :-1], samples.records[0]):
+            with pytest.raises(ShapeError):
+                Dataset(records, SPEC)
+
+    @pytest.mark.parametrize("modality", ["text", "image"])
+    def test_gathered_batch_equals_the_list_oracle_exactly(self, modality):
+        # a batch gathered from the records, as the trainer's are, against
+        # the per-bundle lists compensate_batch took before datasets were packed
+        samples = generate_dataset(SPEC)
+        store = init_params(SPEC.dim, 1)
+        idx = np.array([5, 0, 3, 7, 3])
+        batch = samples[idx]
+        if modality == "text":
+            packed, name = batch.mod_text, TEXT_MLP
+            listed = [samples[i].mod_text for i in idx]
+        else:
+            packed, name = batch.images, IMAGE_MLP
+            listed = ([samples[i].ref_image for i in idx]
+                      + [samples[i].tar_image for i in idx])
+        # the bundles a traced run counts rows of are the packed slices
+        assert [b.tokens.shape for b in packed] == [b.tokens.shape for b in listed]
+        for got, want in zip(packed, listed):
+            assert np.array_equal(got.tokens, want.tokens)
+            assert np.array_equal(got.attention, want.attention)
+            assert got.global_index == want.global_index
+        rows, _ = oracles.token_rows(listed)
+        assert sum(b.tokens.shape[0] - 1 for b in packed) == rows.shape[0]
+        tape = Tape()
+        got = compensate_batch(tape, store, packed, name).value
+        assert np.array_equal(got, oracles.compensate_batch(tape, store, listed, name).value)
+        assert np.array_equal(got, oracles.compensate_batch(tape, store, list(packed),
+                                                            name).value)
 
     def test_high_attention_token_dominates_sensitivity(self):
         # perturbing a high-attention token must move the output more, on

@@ -17,10 +17,10 @@ from noisycir.trainer import forward_batch, init_params
 
 def objective(samples, labels):
     def f(store):
-        tape = ad.Tape()
-        views = forward_batch(tape, store, samples, enable_wcb=True)
-        return fusion.soft_nce_loss(views.q, views.t, views.q_wcb, views.t_wcb,
-                                    labels, fusion.DEFAULT_TEMPERATURE)
+        (q, t), (q_wcb, t_wcb) = forward_batch(ad.Tape(), store, samples,
+                                               enable_wcb=True)
+        return fusion.soft_nce_loss(q, t, q_wcb, t_wcb, labels,
+                                    fusion.DEFAULT_TEMPERATURE)
     return f
 
 

@@ -158,11 +158,9 @@ class ParamStore:
         self.groups[name] = group
 
     def init_mlp(self, name: str, in_dim: int, hidden: int, out_dim: int,
-                 rng: np.random.Generator, group: str = "other",
-                 scale: float | None = None) -> None:
-        """Two-layer perceptron parameters: linear -> ReLU -> linear."""
-        s1 = scale if scale is not None else np.sqrt(2.0 / in_dim)
-        s2 = scale if scale is not None else np.sqrt(2.0 / hidden)
+                 rng: np.random.Generator, group: str = "other") -> None:
+        """Two-layer perceptron parameters: linear -> ReLU -> linear, He-initialized."""
+        s1, s2 = np.sqrt(2.0 / in_dim), np.sqrt(2.0 / hidden)
         self.add(f"{name}.W1", rng.standard_normal((in_dim, hidden)) * s1, group)
         self.add(f"{name}.b1", np.zeros((1, hidden)), group)
         self.add(f"{name}.W2", rng.standard_normal((hidden, out_dim)) * s2, group)

@@ -27,7 +27,7 @@ from .errors import ConfigError, DataFormatError, DegenerateInputError, Numerica
 from .storage import _atomic_write, read_dataset, write_dataset, write_weights
 from .synth import TRUTHS, generate_dataset
 from .trainer import (ABLATION_VARIANTS, RECALL_KS, FilterReportRow, forward_batch,
-                      init_params, run_ablation, run_training)
+                      init_params, run_ablation, run_training, split_dataset)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -104,9 +104,20 @@ def _record_row(rec) -> dict:
     return row
 
 
+def _small_eval_notes(n_eval: int) -> list[str]:
+    """The note, printed too, that R@K over fewer than K eval pairs is 1.0."""
+    if n_eval >= max(RECALL_KS):
+        return []
+    note = (f"eval set of {n_eval} pairs is smaller than K={max(RECALL_KS)}: "
+            f"R@K is 1.0 for every K >= {n_eval}")
+    print(note)
+    return [note]
+
+
 def cmd_train(args) -> int:
     cfg = _apply_overrides(load_run_config(args.config), args)
-    samples, _spec = read_dataset(args.dataset)
+    samples, spec = read_dataset(args.dataset)
+    cfg = dataclasses.replace(cfg, dataset=spec)  # record the data trained on
     os.makedirs(args.out, exist_ok=True)
 
     notes = []
@@ -117,11 +128,7 @@ def cmd_train(args) -> int:
         notes.append("weight compensation disabled")
 
     result = run_training(samples, cfg.train)
-    n_eval = len(result.eval_indices)
-    if n_eval < max(RECALL_KS):
-        notes.append(f"eval set of {n_eval} pairs is smaller than K={max(RECALL_KS)}: "
-                     f"R@K is 1.0 for every K >= {n_eval}")
-        print(notes[-1])
+    notes += _small_eval_notes(len(result.eval_indices))
 
     rows = [_record_row(rec) for rec in result.records]
     _atomic_write_text(os.path.join(args.out, "epochs.jsonl"),
@@ -154,6 +161,8 @@ def cmd_ablate(args) -> int:
     samples, _spec = read_dataset(args.dataset)
     os.makedirs(args.out, exist_ok=True)
     rows = run_ablation(samples, cfg.train)
+    # every variant trains on the same split
+    _small_eval_notes(len(split_dataset(samples, cfg.train)[1]))
     _atomic_write_text(os.path.join(args.out, "ablation.csv"),
                        _csv(rows, _ABLATION_COLUMNS))
     for row in rows:
@@ -176,10 +185,9 @@ def cmd_gradcheck(args) -> int:
         labels = np.ones(len(samples))
 
         def f(st):
-            tape = ad.Tape()
-            views = forward_batch(tape, st, samples, enable_wcb=True)
-            return fusion.soft_nce_loss(views.q, views.t, views.q_wcb,
-                                        views.t_wcb, labels,
+            (q, t), (q_wcb, t_wcb) = forward_batch(ad.Tape(), st, samples,
+                                                   enable_wcb=True)
+            return fusion.soft_nce_loss(q, t, q_wcb, t_wcb, labels,
                                         fusion.DEFAULT_TEMPERATURE)
 
         start = time.time()

@@ -1,12 +1,12 @@
 """Noise-pair filtering via a two-component 1-D Gaussian mixture.
 
 Each view's per-sample contrastive losses are min-max normalized, a
-2-component GMM is fit to them by EM, and the posterior of the low-loss
-component decides set membership: pairs confidently matched in at least one
-view form the matched set, pairs rejected by both views the mismatched set,
-and pairs the views disagree on the partially-matched set. Soft labels keep
-(label 1) exactly the pairs every view accepts. With a single view, its
-posteriors are passed as both views and no pair is partial.
+2-component GMM is fit to them by EM, and a view accepts a pair when the
+posterior of the low-loss component exceeds theta: the decision is one
+(2, n) boolean array of per-view accept masks. Soft labels keep (label 1)
+exactly the pairs every view accepts; the matched, mismatched and partially
+matched sets and their sizes are read from the same masks. With a single
+view, its posteriors are passed as both views and no pair is partial.
 """
 
 from __future__ import annotations
@@ -33,17 +33,27 @@ class GmmParams:
     fallback: bool = False   # batch too small; posteriors forced to 1
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PairSets:
-    n: int
+    """The filter's decision over n pairs, and the sets read from it."""
     theta: float
-    s_match: frozenset[int]
-    s_mis: frozenset[int]
-    s_match_wcb: frozenset[int]
-    s_mis_wcb: frozenset[int]
-    s_m: frozenset[int]      # matched: union of per-view matched sets
-    s_u: frozenset[int]      # mismatched: intersection of per-view rejects
-    s_p: frozenset[int]      # partial: views disagree
+    accept: np.ndarray       # (2, n) bool: row v is view v's posterior > theta
+
+    n = property(lambda self: self.accept.shape[1])
+    # matched: some view accepts; mismatched: no view does; partial: the views disagree
+    s_m = property(lambda self: _members(self.accept.any(axis=0)))
+    s_u = property(lambda self: _members(~self.accept.any(axis=0)))
+    s_p = property(lambda self: _members(self.accept[0] != self.accept[1]))
+
+    @property
+    def counts(self) -> tuple[int, int, int]:
+        """Sizes of the matched, mismatched and partial sets."""
+        n_m = int(np.count_nonzero(self.accept.any(axis=0)))
+        return n_m, self.n - n_m, int(np.count_nonzero(self.accept[0] != self.accept[1]))
+
+
+def _members(mask: np.ndarray) -> frozenset[int]:
+    return frozenset(np.flatnonzero(mask).tolist())
 
 
 def normalize_losses(losses: np.ndarray) -> np.ndarray:
@@ -64,13 +74,14 @@ def _log_joint(gmm: GmmParams, x: np.ndarray) -> np.ndarray:
                               + (x[None, :] - mu) ** 2 / var)
 
 
-def em_fit(losses: np.ndarray, max_iters: int = DEFAULT_MAX_ITERS,
-           tol: float = DEFAULT_TOL) -> GmmParams:
+def em_fit(losses: np.ndarray) -> GmmParams:
     """Fit the 2-component mixture by EM.
 
     Means start at the 25th/75th percentiles with shared sample variance and
-    equal weights. Batches smaller than 4 points return a flagged fallback
-    whose posteriors are all ~1 (every pair treated as matched).
+    equal weights; EM stops once the log-likelihood gains less than
+    DEFAULT_TOL, or after DEFAULT_MAX_ITERS iterations. Batches smaller than
+    4 points return a flagged fallback whose posteriors are all ~1 (every
+    pair treated as matched).
     """
     x = np.asarray(losses, dtype=np.float64).reshape(-1)
     if x.size < 4:
@@ -83,14 +94,14 @@ def em_fit(losses: np.ndarray, max_iters: int = DEFAULT_MAX_ITERS,
     gmm = GmmParams(weights=np.array([0.5, 0.5]), means=mu,
                     variances=np.array([var0, var0]))
     prev_ll = None
-    for it in range(max_iters + 1):
+    for it in range(DEFAULT_MAX_ITERS + 1):
         # the log joint serves double duty: current-parameter likelihood
         # (tracked for convergence) and E-step responsibilities
         lj = _log_joint(gmm, x)
         m = lj.max(axis=0)
         ll = float((m + np.log(np.exp(lj - m).sum(axis=0))).sum())
         gmm.log_likelihoods.append(ll)
-        if (prev_ll is not None and ll - prev_ll < tol) or it == max_iters:
+        if (prev_ll is not None and ll - prev_ll < DEFAULT_TOL) or it == DEFAULT_MAX_ITERS:
             break
         prev_ll = ll
         post = np.exp(lj - m)
@@ -120,27 +131,15 @@ def posterior(gmm: GmmParams, losses: np.ndarray | float) -> np.ndarray:
 
 def build_sets(post: np.ndarray, post_wcb: np.ndarray,
                theta: float = DEFAULT_THETA) -> PairSets:
+    """Each view's accept mask, posterior > theta (a posterior equal to
+    theta rejects)."""
     post = np.asarray(post, dtype=np.float64).reshape(-1)
     post_wcb = np.asarray(post_wcb, dtype=np.float64).reshape(-1)
     if post.shape != post_wcb.shape:
         raise ShapeError("posterior vectors disagree in length")
-    n = post.size
-    s_match = frozenset(np.flatnonzero(post > theta).tolist())
-    s_mis = frozenset(range(n)) - s_match
-    s_match_w = frozenset(np.flatnonzero(post_wcb > theta).tolist())
-    s_mis_w = frozenset(range(n)) - s_match_w
-    s_m = s_match | s_match_w
-    s_u = s_mis & s_mis_w
-    s_p = (s_mis | s_mis_w) - (s_mis & s_mis_w)
-    return PairSets(n=n, theta=theta, s_match=s_match, s_mis=s_mis,
-                    s_match_wcb=s_match_w, s_mis_wcb=s_mis_w,
-                    s_m=s_m, s_u=s_u, s_p=s_p)
+    return PairSets(theta=theta, accept=np.array([post, post_wcb]) > theta)
 
 
 def soft_labels(sets: PairSets) -> np.ndarray:
-    """Binary labels: 1 for confidently matched pairs, 0 for noise/partial."""
-    labels = np.zeros(sets.n)
-    for i in sets.s_m:
-        if i not in sets.s_u and i not in sets.s_p:
-            labels[i] = 1.0
-    return labels
+    """Binary labels: 1 for pairs every view accepts, 0 for noise/partial."""
+    return sets.accept.all(axis=0).astype(np.float64)

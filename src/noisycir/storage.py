@@ -145,6 +145,9 @@ def _check_codes(values: np.ndarray, limit: int, what: str) -> None:
 
 
 def write_dataset(dataset: Dataset, spec: DatasetSpec, path: str) -> None:
+    """Write the dataset under its own spec; any other spec is refused."""
+    if spec != dataset.spec:
+        raise ConfigError(f"spec {spec} does not describe the dataset's records")
     header = {"kind": "dataset", "spec": dataclasses.asdict(spec),
               "n_samples": len(dataset)}
     chunks = (dataset.records[i:i + _CHUNK] for i in range(0, len(dataset), _CHUNK))

@@ -3,14 +3,18 @@
 Per epoch: forward every enabled view, during warm-up train with every label
 set to 1; afterwards fit the noise filter on detached per-sample losses (over
 the whole epoch by default, or per batch). One fit step serves both scopes:
-it fits one mixture per enabled view and labels a pair 1 only when every
-view's posterior exceeds theta. The labels, one per sample index, mask the
+it fits one mixture per enabled view, and nfb.build_sets turns the posteriors
+into one accept mask per view; a pair is labelled 1 only when every view
+accepts it, and the filter report counts the matched, mismatched and partial
+pairs from the same masks. The labels, one per sample index, mask the
 contrastive loss, and a grouped-learning-rate Adam step follows. Retrieval
 is evaluated on a clean holdout; filter quality against the synthetic
 ground-truth noise flags.
 
-Every tape is freed when its step or no-grad chunk ends; the epoch-scope loss
-pass then computes all full chunks' losses in one stacked call.
+A batch's embeddings are a list of (query, target) pairs, one per enabled
+view. Every tape is freed when its step or no-grad chunk ends; the
+epoch-scope loss pass then computes all full chunks' losses in one stacked
+call.
 """
 
 from __future__ import annotations
@@ -155,35 +159,20 @@ def init_params(dim: int, seed: int) -> ParamStore:
     return store
 
 
-@dataclass
-class BatchViews:
-    q: Var
-    t: Var
-    q_wcb: Var | None = None
-    t_wcb: Var | None = None
-
-    def pairs(self) -> list[tuple[Var, Var]]:
-        out = [(self.q, self.t)]
-        if self.q_wcb is not None:
-            out.append((self.q_wcb, self.t_wcb))
-        return out
-
-
 def forward_batch(tape: Tape, store: ParamStore, batch: Dataset,
-                  enable_wcb: bool) -> BatchViews:
-    """Query/target embeddings of both views over one batch, a Dataset like samples[idx]."""
+                  enable_wcb: bool) -> list[tuple[Var, Var]]:
+    """(query, target) embeddings over one batch, a Dataset like samples[idx]:
+    the global view, then the compensated view when WCB is enabled."""
     text_g, ref_g, tar_g = (tape.const(g) for g in (batch.mod_text.global_token(),
                                                     *batch.images.global_token()))
-    q = fusion.fuse_query(text_g, ref_g, store, fusion.VIEW_GLOBAL)
-    views = BatchViews(q=q, t=tar_g)
+    views = [(fusion.fuse_query(text_g, ref_g, store, fusion.VIEW_GLOBAL), tar_g)]
     if enable_wcb:
         text_w = compensate_batch(tape, store, batch.mod_text, TEXT_MLP)
         both = compensate_batch(tape, store, batch.images, IMAGE_MLP)  # references, targets
         b = len(batch)
         ref_w = slice_rows(both, 0, b)
         tar_w = slice_rows(both, b, 2 * b)
-        views.q_wcb = fusion.fuse_query(text_w, ref_w, store, fusion.VIEW_WCB)
-        views.t_wcb = tar_w
+        views.append((fusion.fuse_query(text_w, ref_w, store, fusion.VIEW_WCB), tar_w))
     return views
 
 
@@ -227,7 +216,7 @@ def _collect_epoch_losses(store: ParamStore, samples: Dataset,
     for chunk in chunks:
         with Tape() as tape:
             views = forward_batch(tape, store, samples[chunk], config.enable_wcb)
-        embedded.append([(q.value, t.value) for q, t in views.pairs()])
+        embedded.append([(q.value, t.value) for q, t in views])
     # one stacked (n, B, B) loss call per view; a tail of another size goes alone
     n_full = len(chunks) - (len(chunks[-1]) != config.batch_size)
     losses = []
@@ -242,7 +231,7 @@ def _collect_epoch_losses(store: ParamStore, samples: Dataset,
 
 def _fit_and_label(loss_vectors: list[np.ndarray], theta: float
                    ) -> tuple[np.ndarray, list[nfb.GmmParams], nfb.PairSets]:
-    """One mixture per view; label 1 where every view's posterior > theta
+    """One mixture per view; label 1 where every view accepts the pair
     (build_sets of the first and the last view: with one view, it twice)."""
     normed = [nfb.normalize_losses(v) for v in loss_vectors]
     gmms = [nfb.em_fit(x) for x in normed]
@@ -260,7 +249,7 @@ def evaluate_retrieval(store: ParamStore, samples: Dataset,
                        enable_wcb: bool) -> dict[int, float]:
     """Recall@K over the holdout; similarity averaged across enabled views."""
     with Tape() as tape:
-        pairs = forward_batch(tape, store, samples, enable_wcb).pairs()
+        pairs = forward_batch(tape, store, samples, enable_wcb)
     sims = sum(cosine_similarity_matrix(q.value, t.value) for q, t in pairs) / len(pairs)
     return {k: recall_from_similarity(sims, min(k, len(samples))) for k in RECALL_KS}
 
@@ -279,7 +268,7 @@ def train_epoch(store: ParamStore, optimizer: Adam, samples: Dataset,
         nonlocal gmms
         labels, gmms, sets = _fit_and_label(loss_vectors, config.theta)
         pair_labels[idx] = labels
-        set_counts[:] += (len(sets.s_m), len(sets.s_u), len(sets.s_p))
+        set_counts[:] += sets.counts
         return labels
 
     if filtering and config.filter_scope == "epoch":
@@ -294,8 +283,7 @@ def train_epoch(store: ParamStore, optimizer: Adam, samples: Dataset,
     for batch_no, chunk in enumerate(_batches(order, config.batch_size)):
         with Tape() as tape:
             views = forward_batch(tape, store, samples[chunk], config.enable_wcb)
-            vecs = [fusion.nce_per_sample(q, t, config.temperature)
-                    for q, t in views.pairs()]
+            vecs = [fusion.nce_per_sample(q, t, config.temperature) for q, t in views]
             if not filtering:
                 labels = np.ones(len(chunk))
             elif config.filter_scope == "batch":

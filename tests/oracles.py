@@ -15,9 +15,14 @@ computed per sample, from the same draws of the sample's own generator.
 token_rows and compensate_batch are the weight compensation as it ran
 before datasets were packed: a list of per-sample bundles, checked for one
 shape and one global row, then concatenated bundle by bundle.
+
+build_sets and soft_labels are the noise filter's decision as it ran before
+it was kept as accept masks: per-view frozensets, combined by set algebra,
+and labels rebuilt from the sets pair by pair.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,7 +139,7 @@ def taped_epoch_losses(store, samples, train_idx, config) -> list[np.ndarray]:
                                   fold_tail=True):
         views = trainer.forward_batch(Tape(), store, samples[chunk], config.enable_wcb)
         per_chunk.append([nce_per_sample(q, t, config.temperature).value[:, 0]
-                          for q, t in views.pairs()])
+                          for q, t in views])
     return [np.concatenate(view) for view in zip(*per_chunk)]
 
 
@@ -228,3 +233,40 @@ def compensate_batch(tape: Tape, store: ParamStore, bundles: list[TokenBundle],
     pooled = ad.maxpool_segments(ad.mlp_forward(tape.const(rows), store, name),
                                  len(bundles))
     return ad.add(pooled, tape.const(global_tokens))
+
+
+@dataclass
+class SetsOracle:
+    n: int
+    s_match: frozenset
+    s_mis: frozenset
+    s_match_wcb: frozenset
+    s_mis_wcb: frozenset
+    s_m: frozenset      # matched: union of per-view matched sets
+    s_u: frozenset      # mismatched: intersection of per-view rejects
+    s_p: frozenset      # partial: views disagree
+
+
+def build_sets(post: np.ndarray, post_wcb: np.ndarray, theta: float) -> SetsOracle:
+    post = np.asarray(post, dtype=np.float64).reshape(-1)
+    post_wcb = np.asarray(post_wcb, dtype=np.float64).reshape(-1)
+    if post.shape != post_wcb.shape:
+        raise ShapeError("posterior vectors disagree in length")
+    n = post.size
+    s_match = frozenset(np.flatnonzero(post > theta).tolist())
+    s_mis = frozenset(range(n)) - s_match
+    s_match_w = frozenset(np.flatnonzero(post_wcb > theta).tolist())
+    s_mis_w = frozenset(range(n)) - s_match_w
+    return SetsOracle(n=n, s_match=s_match, s_mis=s_mis, s_match_wcb=s_match_w,
+                      s_mis_wcb=s_mis_w, s_m=s_match | s_match_w,
+                      s_u=s_mis & s_mis_w,
+                      s_p=(s_mis | s_mis_w) - (s_mis & s_mis_w))
+
+
+def soft_labels(sets: SetsOracle) -> np.ndarray:
+    """1 for pairs in s_m but in neither s_u nor s_p, else 0."""
+    labels = np.zeros(sets.n)
+    for i in sets.s_m:
+        if i not in sets.s_u and i not in sets.s_p:
+            labels[i] = 1.0
+    return labels

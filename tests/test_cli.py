@@ -208,6 +208,27 @@ class TestTrain:
         if n_eval == 1:
             assert lines[1].split(",")[3:6] == ["1.0", "1.0", "1.0"]
 
+    def test_run_meta_records_the_spec_of_the_file_trained_on(self, tmp_path):
+        # the config's dataset section describes other data than the file;
+        # --seed sets the training seed only
+        data = tmp_path / "d.ncld"
+        file_cfg, train_cfg = tmp_path / "file.json", tmp_path / "train.json"
+        file_cfg.write_text(json.dumps({"dataset": {
+            **SMALL["dataset"], "num_triplets": 40, "dim": 8, "seed": 1}}))
+        train_cfg.write_text(json.dumps({
+            "dataset": {**SMALL["dataset"], "num_triplets": 2000, "dim": 32, "seed": 9},
+            "train": {**SMALL["train"], "epochs": 1}}))
+        assert main(["generate", "--config", str(file_cfg), "--out", str(data)]) == EXIT_OK
+        for seed, want in ((None, 0), ("5", 5)):
+            run = tmp_path / f"run-{seed}"
+            argv = ["train", "--config", str(train_cfg), "--dataset", str(data),
+                    "--out", str(run)] + (["--seed", seed] if seed else [])
+            assert main(argv) == EXIT_OK
+            config = json.loads((run / "run_meta.json").read_text())["config"]
+            spec = config["dataset"]
+            assert (spec["num_triplets"], spec["dim"], spec["seed"]) == (40, 8, 1)
+            assert config["train"]["seed"] == want
+
     def test_variant_override(self, config_path, dataset_path, tmp_path):
         run = tmp_path / "run_b"
         assert main(["train", "--config", config_path, "--dataset", dataset_path,
@@ -361,6 +382,22 @@ class TestAblateAndReport:
         assert lines[0] == "variant,R@1,R@10,R@50,Avg"
         assert [ln.split(",")[0] for ln in lines[1:]] \
             == ["baseline", "wcb_only", "nfb_only", "full"]
+
+    def test_ablate_notes_an_eval_set_smaller_than_max_k(self, tmp_path, capsys):
+        cfg_path = tmp_path / "small_eval.json"
+        cfg_path.write_text(json.dumps({
+            "dataset": {**SMALL["dataset"], "num_triplets": 10, "mismatch_rate": 0.0},
+            "train": {**SMALL["train"], "epochs": 1, "batch_size": 4,
+                      "eval_fraction": 0.01}}))
+        data = tmp_path / "d.ncld"
+        assert main(["generate", "--config", str(cfg_path), "--out", str(data)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["ablate", "--config", str(cfg_path), "--dataset", str(data),
+                     "--out", str(tmp_path / "ab")]) == EXIT_OK
+        out = capsys.readouterr().out
+        # one split serves all four variants, so one note covers them
+        assert out.count("eval set of 1 pairs is smaller than K=50: "
+                         "R@K is 1.0 for every K >= 1\n") == 1
 
     def test_report_prints_summary_and_notes(self, tmp_path, dataset_path,
                                              capsys):

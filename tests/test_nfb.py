@@ -6,6 +6,7 @@ import pytest
 from noisycir.errors import ShapeError
 from noisycir.nfb import (DEFAULT_THETA, GmmParams, build_sets, em_fit,
                           normalize_losses, posterior, soft_labels)
+from tests import oracles
 
 
 def grid_search_mle(x, mean_grid, weight_grid, sigma):
@@ -168,7 +169,8 @@ class TestBuildSets:
 
     def test_theta_boundary_is_strict(self):
         sets = build_sets(np.array([0.5]), np.array([0.5]), 0.5)
-        assert sets.s_mis == {0}  # p == theta counts as mismatched
+        assert sets.s_u == {0}  # p == theta counts as mismatched
+        assert soft_labels(sets).tolist() == [0.0]
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
@@ -199,3 +201,25 @@ class TestSetLaws:
         assert sets.s_m == {0, 1, 2}
         assert sets.s_u == {3}
         assert sets.s_p == {1, 2}
+
+
+class TestMasksAgainstSetOracle:
+    @pytest.mark.parametrize("one_view", [False, True], ids=["two_views", "one_view"])
+    def test_masks_give_the_oracle_sets_labels_and_counts(self, one_view):
+        rng = np.random.default_rng(9)
+        for _ in range(500):
+            n = int(rng.integers(1, 41))
+            theta = float(rng.uniform(0.05, 0.95))
+            post = rng.uniform(0, 1, n)
+            post[rng.random(n) < 0.1] = theta  # the strict boundary
+            post_w = post if one_view else rng.uniform(0, 1, n)
+            sets = build_sets(post, post_w, theta)
+            want = oracles.build_sets(post, post_w, theta)
+            assert (sets.n, sets.s_m, sets.s_u, sets.s_p) \
+                == (want.n, want.s_m, want.s_u, want.s_p)
+            labels = soft_labels(sets)
+            assert labels.dtype == np.float64
+            assert np.array_equal(labels, oracles.soft_labels(want))
+            assert sets.counts == (len(want.s_m), len(want.s_u), len(want.s_p))
+            if one_view:
+                assert not sets.s_p

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import stat
@@ -10,7 +11,7 @@ import pytest
 
 from noisycir.autodiff import ParamStore
 from noisycir.cli import EXIT_DATA, main
-from noisycir.errors import DataFormatError
+from noisycir.errors import ConfigError, DataFormatError
 from noisycir import storage
 from noisycir.storage import (MAGIC_DATASET, read_dataset, read_weights,
                               write_dataset, write_weights)
@@ -89,6 +90,18 @@ def test_failed_write_leaves_no_partial_file(tmp_path):
     with pytest.raises(OSError):
         write_dataset(samples, SPEC, str(target_dir / "data.ncld"))
     assert not target_dir.exists()
+
+
+@pytest.mark.parametrize("other", [
+    # would load, with a header that misdescribes the records
+    dataclasses.replace(SPEC, seed=6, mismatch_rate=0.1),
+    # would fail only when read back, on the payload size
+    dataclasses.replace(SPEC, dim=16),
+], ids=["seed_and_rate", "dim"])
+def test_a_spec_other_than_the_datasets_own_is_refused(tmp_path, other):
+    with pytest.raises(ConfigError):
+        write_dataset(generate_dataset(SPEC), other, str(tmp_path / "data.ncld"))
+    assert list(tmp_path.iterdir()) == []  # no file and no temp file
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])

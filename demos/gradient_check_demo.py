@@ -32,7 +32,7 @@ def main():
     labels = np.ones(len(samples))
     f = objective(samples, labels)
 
-    report = ad.grad_check(f, store, step=1e-6, tol=1e-5)
+    report = ad.grad_check(f, store)
     print(f"checked {report.n_entries} parameter entries")
     print(f"max relative error: {report.max_rel_error:.3e}")
     print(f"passed: {report.passed}")
@@ -40,7 +40,7 @@ def main():
     print("\nnow corrupting the backward pass of 'matmul' by 1% ...")
     ad.set_backward_fault("matmul")
     try:
-        bad = ad.grad_check(f, store, step=1e-6, tol=1e-5)
+        bad = ad.grad_check(f, store)
     finally:
         ad.set_backward_fault(None)
     print(f"max relative error: {bad.max_rel_error:.3e} "

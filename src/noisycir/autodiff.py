@@ -23,6 +23,11 @@ Tape used as a context manager cuts those links when the block ends, so
 reference counting frees the graph. The taped ops take their values from
 array functions (mlp_values; cosine_values and xent_values, which also work
 over stacks of batches).
+
+grad_check compares every parameter entry's tape gradient with a central
+difference, at a fixed step and tolerances. set_backward_fault, a test hook,
+corrupts the backward of one op named in FAULT_OPS, which grad_check must
+then catch.
 """
 
 from __future__ import annotations
@@ -35,8 +40,10 @@ from .errors import DegenerateInputError, NumericalError, ShapeError
 
 _NORM_EPS = 1e-12
 
-# Test hook: when set to an op name, that op's backward multiplies its
+# Test hook: when set to one of FAULT_OPS, that op's backward multiplies its
 # gradient by a wrong factor so gradient checks must fail.
+FAULT_OPS = ("add", "maxpool_segments", "concat_cols", "slice_rows", "cosine_matrix",
+             "softmax_xent_rows", "masked_mean", "matmul", "relu")
 _FAULT_OP: str | None = None
 
 
@@ -56,14 +63,14 @@ class Var:
 
     __slots__ = ("value", "grad", "tape", "_backward")
 
-    def __init__(self, tape: "Tape", value: np.ndarray, backward=None):
+    def __init__(self, tape: "Tape", value: np.ndarray):
         value = np.ascontiguousarray(value, dtype=np.float64)
         if value.ndim != 2:
             raise ShapeError(f"Var must be 2-D, got shape {value.shape}")
         self.value = value
         self.grad = None
         self.tape = tape
-        self._backward = backward
+        self._backward = None
         tape._nodes.append(self)
 
     @property
@@ -93,9 +100,6 @@ class Tape:
         self._params.clear()
 
     def const(self, value) -> Var:
-        value = np.asarray(value, dtype=np.float64)
-        if value.ndim == 1:
-            value = value.reshape(1, -1)
         return Var(self, value)
 
     def param(self, store: "ParamStore", name: str) -> Var:
@@ -351,8 +355,6 @@ def mlp_forward(x: Var, store: ParamStore, name: str) -> Var:
     add, matmul and relu ops it stands for, in the order the composed ops
     would run them.
     """
-    if f"{name}.W1" not in store.params:
-        raise KeyError(f"unknown MLP name {name!r}")
     w1 = x.tape.param(store, f"{name}.W1")
     b1 = x.tape.param(store, f"{name}.b1")
     w2 = x.tape.param(store, f"{name}.W2")
@@ -393,18 +395,20 @@ class GradCheckReport:
     group_worst: dict[str, float] = field(default_factory=dict)
 
 
-def grad_check(f, store: ParamStore, step: float = 1e-6,
-               tol: float = 1e-5, abs_floor: float = 1e-6,
-               abs_tol: float = 1e-8) -> GradCheckReport:
+_STEP = 1e-6       # central-difference step
+_TOL = 1e-5        # relative tolerance
+_ABS_FLOOR = 1e-6  # gradients below this are judged absolutely
+_ABS_TOL = 1e-8    # absolute tolerance
+
+
+def grad_check(f, store: ParamStore) -> GradCheckReport:
     """Compare tape gradients of scalar f(store) against central differences.
 
-    An entry passes absolutely when the discrepancy is within abs_tol (this
-    covers zero gradients and entries below abs_floor, whose quotient would
+    An entry passes absolutely when the discrepancy is within _ABS_TOL (this
+    covers zero gradients and entries below _ABS_FLOOR, whose quotient would
     be dominated by finite-difference roundoff); all other entries must meet
-    the relative tolerance, and only those feed the reported relative error.
+    the relative tolerance _TOL, and only those feed the reported relative error.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
     store.zero_grads()
     out = f(store)
     with out.tape:  # every tape is closed, so reference counting frees it
@@ -426,25 +430,25 @@ def grad_check(f, store: ParamStore, step: float = 1e-6,
         pw = 0.0
         for j in range(flat.size):
             orig = flat[j]
-            flat[j] = orig + step
+            flat[j] = orig + _STEP
             with (out := f(store)).tape:
                 f_hi = out.scalar()
-            flat[j] = orig - step
+            flat[j] = orig - _STEP
             with (out := f(store)).tape:
                 f_lo = out.scalar()
             flat[j] = orig
-            num = (f_hi - f_lo) / (2.0 * step)
+            num = (f_hi - f_lo) / (2.0 * _STEP)
             ana = aflat[j]
             denom = max(abs(ana), abs(num))
             diff = abs(ana - num)
             n += 1
-            if diff <= abs_tol or denom < abs_floor:  # judged absolutely
+            if diff <= _ABS_TOL or denom < _ABS_FLOOR:  # judged absolutely
                 err = diff
-                ok = ok and diff <= abs_tol
+                ok = ok and diff <= _ABS_TOL
                 max_abs = max(max_abs, err)
             else:
                 err = diff / denom
-                if err > tol:
+                if err > _TOL:
                     ok = False
                 if err > max_rel:
                     max_rel, worst = err, name

@@ -2,8 +2,10 @@
 
 Exit codes are a stable contract:
     0 success, 1 usage/config error, 2 I/O error,
-    3 data validation error, 4 numerical failure (including degenerate
-    input such as a zero-norm embedding).
+    3 data validation error (a malformed .ncld or .nclw file, or a run
+    directory whose summary.csv or run_meta.json `report` cannot read),
+    4 numerical failure (including degenerate input such as a zero-norm
+    embedding).
 All outputs are written atomically (temp file + rename) so a failing
 command never leaves a partial artifact behind.
 """
@@ -12,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
 import json
 import os
 import sys
@@ -23,9 +24,10 @@ import numpy as np
 from . import autodiff as ad
 from . import fusion
 from .config import RunConfig, load_run_config
-from .errors import ConfigError, DataFormatError, DegenerateInputError, NumericalError
+from .errors import (ConfigError, DataFormatError, DegenerateInputError, NumericalError,
+                     parse_json)
 from .storage import _atomic_write, read_dataset, write_dataset, write_weights
-from .synth import TRUTHS, generate_dataset
+from .synth import TRUTHS, DatasetSpec, generate_dataset
 from .trainer import (ABLATION_VARIANTS, RECALL_KS, FilterReportRow, forward_batch,
                       init_params, run_ablation, run_training, split_dataset)
 
@@ -41,19 +43,10 @@ def _atomic_write_text(path: str, text: str) -> None:
 
 
 def _csv(rows: list[dict], columns: list[str]) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(columns) + "\n")
-    for row in rows:
-        buf.write(",".join(_fmt(row.get(c)) for c in columns) + "\n")
-    return buf.getvalue()
-
-
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    """A header line, then one line per row: None is an empty cell, a float its repr."""
+    lines = [columns] + [["" if r.get(c) is None else str(r.get(c)) for c in columns]
+                         for r in rows]
+    return "".join(",".join(line) + "\n" for line in lines)
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
@@ -63,11 +56,8 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
         train = dataclasses.replace(train, seed=args.seed)
         dataset = dataclasses.replace(dataset, seed=args.seed)
     variant = getattr(args, "variant", None)
-    if variant is not None:
-        flags = {name: (w, n) for name, w, n in ABLATION_VARIANTS}
-        if variant not in flags:
-            raise ConfigError(f"unknown variant {variant!r}")
-        w, n = flags[variant]
+    if variant is not None:  # argparse has checked it against ABLATION_VARIANTS
+        w, n = {name: (w, n) for name, w, n in ABLATION_VARIANTS}[variant]
         train = dataclasses.replace(train, enable_wcb=w, enable_nfb=n)
     return RunConfig(dataset=dataset, train=train)
 
@@ -92,16 +82,9 @@ _ABLATION_COLUMNS = ["variant", "R@1", "R@10", "R@50", "Avg"]
 
 
 def _record_row(rec) -> dict:
-    row = {"epoch": rec.epoch, "train_loss": rec.train_loss,
-           "label1_fraction": rec.label1_fraction,
-           "recall_at_1": rec.recall_at_1, "recall_at_10": rec.recall_at_10,
-           "recall_at_50": rec.recall_at_50,
-           "filter_precision": None, "filter_recall": None, "filter_f1": None}
-    if rec.filter_score is not None:
-        row["filter_precision"] = rec.filter_score.precision
-        row["filter_recall"] = rec.filter_score.recall
-        row["filter_f1"] = rec.filter_score.f1
-    return row
+    row = dataclasses.asdict(rec)
+    score = row.pop("filter_score") or {}
+    return {**row, **{f"filter_{k}": score.get(k) for k in ("precision", "recall", "f1")}}
 
 
 def _small_eval_notes(n_eval: int) -> list[str]:
@@ -173,14 +156,12 @@ def cmd_ablate(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     """Full-pipeline gradient check on a tiny random batch."""
-    from .synth import DatasetSpec, generate_dataset as gen
-
     if args.inject_fault:
         ad.set_backward_fault(args.inject_fault)
     try:
         spec = DatasetSpec(num_concepts=4, dim=8, text_tokens=4, image_patches=6,
                            num_triplets=4, seed=args.seed or 0)
-        samples = gen(spec)
+        samples = generate_dataset(spec)
         store = init_params(spec.dim, spec.seed)
         labels = np.ones(len(samples))
 
@@ -191,7 +172,7 @@ def cmd_gradcheck(args) -> int:
                                         fusion.DEFAULT_TEMPERATURE)
 
         start = time.time()
-        report = ad.grad_check(f, store, step=1e-6, tol=1e-5)
+        report = ad.grad_check(f, store)
         elapsed = time.time() - start
     finally:
         ad.set_backward_fault(None)
@@ -212,18 +193,23 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_report(args) -> int:
-    summary = os.path.join(args.out, "summary.csv")
-    if not os.path.exists(summary):
-        raise FileNotFoundError(f"no summary.csv under {args.out}")
-    with open(summary, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    print(text, end="")
-    meta_path = os.path.join(args.out, "run_meta.json")
+    """Print summary.csv and run_meta.json's notes; a run file that cannot be
+    read as either raises DataFormatError before anything is printed."""
+    with open(os.path.join(args.out, "summary.csv"), "rb") as fh:
+        try:
+            text = fh.read().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"summary.csv is not UTF-8: {exc}") from None
+    meta_path, meta = os.path.join(args.out, "run_meta.json"), {}
     if os.path.exists(meta_path):
-        with open(meta_path, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-        if meta.get("notes"):
-            print("notes: " + "; ".join(meta["notes"]))
+        with open(meta_path, "rb") as fh:
+            meta = parse_json(fh.read(), DataFormatError, "run_meta.json")
+    notes = meta.get("notes", []) if isinstance(meta, dict) else None
+    if not isinstance(notes, list) or not all(isinstance(n, str) for n in notes):
+        raise DataFormatError("run_meta.json must be an object whose notes are strings")
+    print(text, end="")
+    if notes:
+        print("notes: " + "; ".join(notes))
     return EXIT_OK
 
 
@@ -257,8 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     gc = sub.add_parser("gradcheck", help="full-pipeline gradient check")
     gc.add_argument("--seed", type=int)
-    gc.add_argument("--inject-fault", metavar="OP",
-                    help="test hook: corrupt the named op's backward pass")
+    gc.add_argument("--inject-fault", metavar="OP", choices=ad.FAULT_OPS,
+                    help="test hook: corrupt the backward pass of OP, one of "
+                         + ", ".join(ad.FAULT_OPS))
     gc.set_defaults(func=cmd_gradcheck)
 
     rp = sub.add_parser("report", help="print a run directory's summary")
@@ -284,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericalError, DegenerateInputError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (OSError, FileNotFoundError) as exc:
+    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -7,10 +7,9 @@ fall back to a default. Missing keys take the documented defaults.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, parse_json
 from .synth import DatasetSpec
 from .trainer import TrainConfig
 
@@ -48,13 +47,8 @@ def run_config_from_dict(raw: dict) -> RunConfig:
 
 
 def load_run_config(path: str) -> RunConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    with open(path, "rb") as fh:
+        raw = parse_json(fh.read(), ConfigError, "config is not valid JSON")
     try:
         return run_config_from_dict(raw)
     except TypeError as exc:

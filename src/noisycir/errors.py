@@ -1,7 +1,9 @@
-"""Exception types shared across the toolkit, and the config field checks
-that both config dataclasses run."""
+"""Exception types shared across the toolkit, the config field checks that
+both config dataclasses run, and the parser of every JSON document read from
+disk."""
 
 import dataclasses
+import json
 import math
 
 
@@ -30,6 +32,15 @@ def is_json_type(value, kind: type) -> bool:
     kind is bool, and an int also where kind is float."""
     kinds = (int, float) if kind is float else kind
     return isinstance(value, bool) is (kind is bool) and isinstance(value, kinds)
+
+
+def parse_json(data: bytes, error: type[Exception], what: str):
+    """The JSON document in UTF-8 bytes; one that is not UTF-8, not JSON or
+    nested too deep to parse raises error."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+        raise error(f"{what}: {exc}") from None
 
 
 def check_field_types(config) -> None:

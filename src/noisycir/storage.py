@@ -20,8 +20,10 @@ artifact. Readers read the preamble and the header, then the rest with one
 readinto of a preallocated array, whose bytes a dataset's records view in
 place. They check the magic, the version and the checksum before they parse
 the header, then validate every field they use: exact key sets and JSON types,
-the payload size against what the spec or the shapes imply, truth codes and
-concept ids against their ranges. Any malformed file raises DataFormatError.
+n_samples against the spec's num_triplets, the payload size against what the
+spec or the shapes imply, truth codes and concept ids against their ranges.
+Any malformed file, a header nested too deep to parse included, raises
+DataFormatError. write_dataset writes only a whole dataset under its own spec.
 Version 1 files, whose checksum left the header out, are not read:
 `noisycir generate` rewrites a dataset deterministically from its spec.
 """
@@ -39,7 +41,7 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from .autodiff import ParamStore
-from .errors import ConfigError, DataFormatError, is_json_type
+from .errors import ConfigError, DataFormatError, is_json_type, parse_json
 from .synth import TRUTHS, Dataset, DatasetSpec
 
 MAGIC_DATASET = b"NCLD"
@@ -104,10 +106,7 @@ def _read(path: str, magic: bytes, kind: str, keys: set[str]) -> tuple[dict, np.
     payload = rest[:-4]
     if int.from_bytes(rest[-4:].tobytes(), "little") != zlib.crc32(payload, zlib.crc32(head)):
         raise DataFormatError("checksum mismatch")
-    try:
-        header = json.loads(head[10:].decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
-        raise DataFormatError(f"unreadable header: {exc}") from None
+    header = parse_json(head[10:], DataFormatError, "unreadable header")
     if not isinstance(header, dict) or set(header) != keys:
         raise DataFormatError(f"header must hold exactly the keys {sorted(keys)}")
     if header["kind"] != kind:
@@ -145,9 +144,11 @@ def _check_codes(values: np.ndarray, limit: int, what: str) -> None:
 
 
 def write_dataset(dataset: Dataset, spec: DatasetSpec, path: str) -> None:
-    """Write the dataset under its own spec; any other spec is refused."""
-    if spec != dataset.spec:
-        raise ConfigError(f"spec {spec} does not describe the dataset's records")
+    """Write the whole dataset under its own spec; any other spec, or a part of
+    the dataset, is refused before a file exists. A reordering of all the
+    records cannot be told apart from the dataset and is written."""
+    if spec != dataset.spec or len(dataset) != spec.num_triplets:
+        raise ConfigError(f"spec {spec} does not describe the dataset's {len(dataset)} records")
     header = {"kind": "dataset", "spec": dataclasses.asdict(spec),
               "n_samples": len(dataset)}
     chunks = (dataset.records[i:i + _CHUNK] for i in range(0, len(dataset), _CHUNK))
@@ -159,8 +160,8 @@ def read_dataset(path: str) -> tuple[Dataset, DatasetSpec]:
                             {"kind", "spec", "n_samples"})
     spec = _spec_from_header(header)
     n_samples = _get(header, "n_samples", int)
-    if n_samples < 0 or payload.size != n_samples * spec.record_size * 8:
-        raise DataFormatError("payload size disagrees with n_samples and spec")
+    if n_samples != spec.num_triplets or payload.size != n_samples * spec.record_size * 8:
+        raise DataFormatError("payload size, n_samples and the spec's num_triplets disagree")
     # the records are the bytes read, viewed in place
     records = payload.view("<f8").reshape(n_samples, spec.record_size)
     _check_codes(records[:, -3], len(TRUTHS), "truth code")

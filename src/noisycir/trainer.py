@@ -120,7 +120,6 @@ class Adam:
     def __init__(self, store: ParamStore, lr_by_group: dict[str, float],
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.store = store
-        self.lr_by_group = lr_by_group
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = np.zeros_like(store.flat_params)
@@ -323,17 +322,15 @@ def train_epoch(store: ParamStore, optimizer: Adam, samples: Dataset,
     record = MetricsRecord(
         epoch=epoch,
         train_loss=float(np.mean(losses)) if losses else 0.0,
-        label1_fraction=(label_sum / label_n) if label_n else 1.0,
+        label1_fraction=float(label_sum / label_n) if label_n else 1.0,
         recall_at_1=recalls[1], recall_at_10=recalls[10], recall_at_50=recalls[50],
         filter_score=score)
     return record, filter_rows
 
 
-def run_training(samples: Dataset, config: TrainConfig,
-                 store: ParamStore | None = None) -> TrainResult:
+def run_training(samples: Dataset, config: TrainConfig) -> TrainResult:
     config.validate()
-    if store is None:
-        store = init_params(samples.spec.dim, config.seed)
+    store = init_params(samples.spec.dim, config.seed)
     optimizer = Adam(store,
                      lr_by_group={"wcb": config.lr_wcb, "other": config.lr_other},
                      beta1=config.adam_beta1, beta2=config.adam_beta2,

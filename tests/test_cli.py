@@ -1,8 +1,11 @@
+import inspect
 import json
 import os
+import re
 
 import pytest
 
+from noisycir import autodiff as ad
 from noisycir.cli import (EXIT_DATA, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
                           EXIT_USAGE, _atomic_write_text, main)
 from tests.test_storage import rewrite_header, rewrite_record
@@ -13,6 +16,7 @@ SMALL = {
                 "mismatch_rate": 0.3, "seed": 7},
     "train": {"batch_size": 16, "epochs": 4, "warmup_epochs": 2, "seed": 0},
 }
+DEEP = 200_000  # levels of JSON nesting, far past the recursion limit
 
 
 @pytest.fixture
@@ -290,9 +294,10 @@ class TestCorruptHeader:
         _truth_code(0.5),
         _header_edit(lambda h: h.update(n_samples=h["n_samples"] + 1)),
         _header_edit(lambda h: h.update(n_samples=h["n_samples"] - 1)),
+        _header_edit(lambda h: b"[" * DEEP + b"]" * DEEP),
     ], ids=["byte-12-0xff", "offsets-removed", "unknown-spec-key", "dim-64",
             "negative-offset", "dim-16", "unknown-truth", "fractional-truth",
-            "n-samples-plus-one", "n-samples-minus-one"])
+            "n-samples-plus-one", "n-samples-minus-one", "nested-too-deep"])
     def test_train_exits_3_without_traceback(self, tmp_path, corrupt, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"dataset": {"num_triplets": 10, "seed": 1}}))
@@ -332,6 +337,24 @@ class TestGradcheck:
         main(["gradcheck", "--inject-fault", "matmul"])
         capsys.readouterr()
         assert main(["gradcheck"]) == EXIT_OK
+
+    def test_unknown_fault_op_exits_1(self, capsys):
+        assert main(["gradcheck", "--inject-fault", "typo"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "invalid choice: 'typo'" in captured.err
+        assert "PASS" not in captured.out
+
+    def test_fault_ops_are_the_ops_with_a_hook(self):
+        hooked = re.findall(r'_fault\("(\w+)"', inspect.getsource(ad))
+        assert sorted(set(hooked)) == sorted(ad.FAULT_OPS)
+
+    @pytest.mark.parametrize("op", [
+        "add", "maxpool_segments", "concat_cols", "slice_rows", "cosine_matrix",
+        "softmax_xent_rows", "masked_mean", "matmul", "relu"])
+    def test_every_fault_op_fails_the_check(self, op, capsys):
+        assert main(["gradcheck", "--inject-fault", op]) == EXIT_NUMERIC
+        out = capsys.readouterr().out
+        assert f"fault injected in op {op}\nFAIL (tolerance 1e-5)\n" in out
 
 
 def _tiny_config(num_triplets, dim=4, image_patches=4):
@@ -415,3 +438,62 @@ class TestAblateAndReport:
 
     def test_report_missing_dir_exits_2(self, tmp_path):
         assert main(["report", "--out", str(tmp_path / "nope")]) == EXIT_IO
+
+
+def test_every_csv_cell_is_empty_a_name_or_a_number(tmp_path):
+    cfg_path = tmp_path / "cells.json"
+    cfg_path.write_text(json.dumps({"dataset": dict(SMALL["dataset"], num_triplets=60),
+                                    "train": dict(SMALL["train"], epochs=3)}))
+    data, run, ab = tmp_path / "d.ncld", tmp_path / "run", tmp_path / "ab"
+    assert main(["generate", "--config", str(cfg_path), "--out", str(data)]) == EXIT_OK
+    assert main(["train", "--config", str(cfg_path), "--dataset", str(data),
+                 "--out", str(run)]) == EXIT_OK
+    assert main(["ablate", "--config", str(cfg_path), "--dataset", str(data),
+                 "--out", str(ab)]) == EXIT_OK
+    names = {"main", "wcb", "baseline", "wcb_only", "nfb_only", "full"}
+    for path in (run / "summary.csv", run / "filter_report.csv", ab / "ablation.csv"):
+        lines = path.read_text().splitlines()
+        assert len(lines) > 1, path
+        for cell in (c for line in lines[1:] for c in line.split(",")):
+            if cell and cell not in names:
+                float(cell)
+
+
+def _assert_one_line_error(capsys, prefix):
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
+    return captured
+
+
+@pytest.mark.parametrize("content", [
+    b'{"dataset": {"seed": "\xff"}}',
+    b"[" * DEEP + b"]" * DEEP,
+    b'{"dataset": ' * DEEP + b"{}" + b"}" * DEEP,
+], ids=["not-utf8", "nested-arrays", "nested-objects"])
+def test_unparsable_config_exits_1_without_traceback(tmp_path, capsys, content):
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(content)
+    out = tmp_path / "d.ncld"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    _assert_one_line_error(capsys, "config error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("summary, meta", [
+    (b"epoch\n0\n", b"{not json"),
+    (b"epoch\n0\n", b"[" * DEEP + b"]" * DEEP),
+    (b"epoch\n0\n", b"[1]"),
+    (b"epoch\n0\n", b'{"notes": 5}'),
+    (b"epoch\n0\n", b'{"notes": ["ok", 1]}'),
+    (b"epoch\n\xff\n", b'{"notes": []}'),
+], ids=["meta-not-json", "meta-nested-deep", "meta-not-an-object", "notes-not-a-list",
+        "note-not-a-string", "summary-not-utf8"])
+def test_report_on_malformed_run_files_exits_3_without_traceback(tmp_path, capsys,
+                                                                 summary, meta):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "summary.csv").write_bytes(summary)
+    (run / "run_meta.json").write_bytes(meta)
+    assert main(["report", "--out", str(run)]) == EXIT_DATA
+    assert _assert_one_line_error(capsys, "data error: ").out == ""

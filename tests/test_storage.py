@@ -104,6 +104,22 @@ def test_a_spec_other_than_the_datasets_own_is_refused(tmp_path, other):
     assert list(tmp_path.iterdir()) == []  # no file and no temp file
 
 
+def test_a_part_of_the_dataset_is_refused(tmp_path):
+    samples = generate_dataset(dataclasses.replace(SPEC, num_triplets=20))
+    with pytest.raises(ConfigError, match="3 records"):
+        write_dataset(samples[5:8], samples.spec, str(tmp_path / "data.ncld"))
+    assert list(tmp_path.iterdir()) == []  # no file and no temp file
+
+
+def test_a_file_of_part_of_its_specs_dataset_is_refused(dataset_file):
+    samples, path = dataset_file
+    # header and payload agree on 3 records, the spec says 12
+    rewrite(path, header=lambda h: h.update(n_samples=3),
+            payload=lambda body: samples.records[5:8].astype("<f8").tobytes())
+    with pytest.raises(DataFormatError, match="num_triplets"):
+        read_dataset(str(path))
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
 def test_written_files_follow_the_umask(tmp_path, umask):
     # like open(path, "wb"): mode 0o666 less the umask, not mkstemp's 0o600
@@ -139,9 +155,10 @@ def test_weights_magic_distinct(tmp_path, dataset_file):
 
 def rewrite(path, header=None, payload=None):
     """Apply header to the parsed JSON header and payload to the payload's
-    bytes (each edits in place or returns the replacement), then write the
-    file back with a matching header length and a recomputed checksum, so
-    the edit reaches the reader's validators."""
+    bytes (each edits in place or returns the replacement; header may return
+    the raw header bytes), then write the file back with a matching header
+    length and a recomputed checksum, so the edit reaches the reader's
+    validators."""
     blob = path.read_bytes()
     (hdr_len,) = struct.unpack("<I", blob[6:10])
     parsed = json.loads(blob[10:10 + hdr_len])
@@ -150,7 +167,7 @@ def rewrite(path, header=None, payload=None):
         parsed = header(parsed) or parsed
     if payload is not None:
         body = payload(bytearray(body)) or body
-    hdr = json.dumps(parsed).encode("utf-8")
+    hdr = parsed if isinstance(parsed, bytes) else json.dumps(parsed).encode("utf-8")
     out = blob[:6] + struct.pack("<I", len(hdr)) + hdr + bytes(body)
     path.write_bytes(out + struct.pack("<I", zlib.crc32(out)))
 

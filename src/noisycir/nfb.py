@@ -1,12 +1,14 @@
 """Noise-pair filtering via a two-component 1-D Gaussian mixture.
 
 Each view's per-sample contrastive losses are min-max normalized, a
-2-component GMM is fit to them by EM, and a view accepts a pair when the
-posterior of the low-loss component exceeds theta: the decision is one
-(2, n) boolean array of per-view accept masks. Soft labels keep (label 1)
-exactly the pairs every view accepts; the matched, mismatched and partially
-matched sets and their sizes are read from the same masks. With a single
-view, its posteriors are passed as both views and no pair is partial.
+2-component GMM is fit to them by EM (means started at the sorted quartiles;
+each E-step's one exp gives both the log-likelihood and the responsibilities),
+and a view accepts a pair when the posterior of the low-loss component exceeds
+theta: the decision is one (2, n) boolean array of per-view accept masks. Soft
+labels keep (label 1) exactly the pairs every view accepts; the matched,
+mismatched and partially matched sets and their sizes are read from the same
+masks. With a single view, its posteriors are passed as both views and no pair
+is partial.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ class GmmParams:
     weights: np.ndarray      # (2,), sums to 1
     means: np.ndarray        # (2,), means[0] <= means[1]
     variances: np.ndarray    # (2,), >= VARIANCE_FLOOR
-    n_iters: int = 0
+    n_iters: int = 0         # M-steps run
+    # one per E-step, n_iters + 1 of them, the last at the parameters above;
+    # a fallback runs no EM and has n_iters 0 and no entries
     log_likelihoods: list[float] = field(default_factory=list)
     fallback: bool = False   # batch too small; posteriors forced to 1
 
@@ -74,14 +78,27 @@ def _log_joint(gmm: GmmParams, x: np.ndarray) -> np.ndarray:
                               + (x[None, :] - mu) ** 2 / var)
 
 
+def _quartiles(x: np.ndarray) -> np.ndarray:
+    """np.percentile(x, [25, 75]) on one sort, by NumPy's 'linear' rule: a + (b-a)t at
+    index q(n-1), or b - (b-a)(1-t) if t >= 0.5. A NaN in x makes all of em_fit NaN."""
+    s, out = np.sort(x), []
+    for v in (0.25 * (x.size - 1), 0.75 * (x.size - 1)):
+        j = int(v)
+        t, a, b = v - j, s[j], s[j + 1]
+        out.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return np.array(out)
+
+
 def em_fit(losses: np.ndarray) -> GmmParams:
     """Fit the 2-component mixture by EM.
 
-    Means start at the 25th/75th percentiles with shared sample variance and
-    equal weights; EM stops once the log-likelihood gains less than
-    DEFAULT_TOL, or after DEFAULT_MAX_ITERS iterations. Batches smaller than
-    4 points return a flagged fallback whose posteriors are all ~1 (every
-    pair treated as matched).
+    Means start at the 25th/75th percentiles (one sort, see _quartiles) with
+    shared sample variance and equal weights; EM stops once the log-likelihood
+    gains less than DEFAULT_TOL, or after DEFAULT_MAX_ITERS iterations. Each
+    E-step takes one exp of the log joint less its column max: its column sum
+    gives the log-likelihood, and dividing by that sum gives the
+    responsibilities. Batches smaller than 4 points return a flagged fallback
+    whose posteriors are all ~1 (every pair treated as matched).
     """
     x = np.asarray(losses, dtype=np.float64).reshape(-1)
     if x.size < 4:
@@ -89,35 +106,32 @@ def em_fit(losses: np.ndarray) -> GmmParams:
                          means=np.array([0.0, 1.0]),
                          variances=np.array([1e6, 1e6]),
                          fallback=True)
-    mu = np.percentile(x, [25.0, 75.0]).astype(np.float64)
     var0 = max(float(x.var()), VARIANCE_FLOOR)
-    gmm = GmmParams(weights=np.array([0.5, 0.5]), means=mu,
-                    variances=np.array([var0, var0]))
-    prev_ll = None
+    # weights, means and variances as (2, 1) columns that broadcast against x;
+    # lj is _log_joint's expression, value for value, with d2 = (x - mu) ** 2
+    w, mu, var = np.full((2, 1), 0.5), _quartiles(x)[:, None], np.full((2, 1), var0)
+    d2, lls, prev_ll = (x - mu) ** 2, [], None
     for it in range(DEFAULT_MAX_ITERS + 1):
-        # the log joint serves double duty: current-parameter likelihood
-        # (tracked for convergence) and E-step responsibilities
-        lj = _log_joint(gmm, x)
-        m = lj.max(axis=0)
-        ll = float((m + np.log(np.exp(lj - m).sum(axis=0))).sum())
-        gmm.log_likelihoods.append(ll)
+        lj = np.log(w) - 0.5 * (np.log(2.0 * np.pi * var) + d2 / var)
+        m = np.maximum(lj[0], lj[1])  # what a reduce over the 2 rows computes
+        e = np.exp(lj - m)
+        s = e[0] + e[1]
+        ll = float(np.add.reduce(m + np.log(s)))
+        lls.append(ll)
         if (prev_ll is not None and ll - prev_ll < DEFAULT_TOL) or it == DEFAULT_MAX_ITERS:
             break
         prev_ll = ll
-        post = np.exp(lj - m)
-        post /= post.sum(axis=0)
+        e /= s
         # M-step: weighted MLE with variance floor
-        nk = post.sum(axis=1)
-        nk = np.maximum(nk, 1e-12)
-        gmm.weights = nk / x.size
-        gmm.means = (post * x).sum(axis=1) / nk
-        gmm.variances = np.maximum(
-            (post * (x - gmm.means[:, None]) ** 2).sum(axis=1) / nk, VARIANCE_FLOOR)
-        gmm.n_iters = it + 1
-    if gmm.means[0] > gmm.means[1]:
-        for attr in ("weights", "means", "variances"):
-            setattr(gmm, attr, getattr(gmm, attr)[::-1].copy())
-    return gmm
+        nk = np.maximum(np.add.reduce(e, axis=1, keepdims=True), 1e-12)
+        w = nk / x.size
+        mu = np.add.reduce(e * x, axis=1, keepdims=True) / nk
+        d2 = (x - mu) ** 2  # also the next E-step's
+        var = np.maximum(np.add.reduce(e * d2, axis=1, keepdims=True) / nk, VARIANCE_FLOOR)
+    if mu[0, 0] > mu[1, 0]:
+        w, mu, var = w[::-1], mu[::-1], var[::-1]
+    return GmmParams(weights=w.ravel(), means=mu.ravel(), variances=var.ravel(),
+                     n_iters=it, log_likelihoods=lls)
 
 
 def posterior(gmm: GmmParams, losses: np.ndarray | float) -> np.ndarray:

@@ -307,8 +307,8 @@ def train_epoch(store: ParamStore, optimizer: Adam, samples: Dataset,
     labelled = np.flatnonzero(~np.isnan(pair_labels))
     if labelled.size:
         score = evaluate_filter(pair_labels[labelled], samples.is_noisy[labelled])
-        # with one view both rows describe the same fit
-        for view, gmm in (("main", gmms[0]), ("wcb", gmms[-1])):
+        # one row per enabled view, each describing its own fit
+        for view, gmm in zip(("main", "wcb"), gmms):
             filter_rows.append(FilterReportRow(
                 epoch=epoch, view=view,
                 mu0=float(gmm.means[0]), mu1=float(gmm.means[1]),

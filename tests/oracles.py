@@ -19,6 +19,11 @@ shape and one global row, then concatenated bundle by bundle.
 build_sets and soft_labels are the noise filter's decision as it ran before
 it was kept as accept masks: per-view frozensets, combined by set algebra,
 and labels rebuilt from the sets pair by pair.
+
+em_fit is the mixture fit as it ran before each E-step shared one exp:
+np.percentile start, a GmmParams updated in place, and the log joint
+exponentiated once for the log-likelihood and again for the
+responsibilities.
 """
 
 import math
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from noisycir import autodiff as ad
-from noisycir import trainer
+from noisycir import nfb, trainer
 from noisycir.autodiff import _NORM_EPS, ParamStore, Tape, Var, _fault, _same_tape
 from noisycir.errors import DegenerateInputError, ShapeError
 from noisycir.evaluation import cosine_similarity_matrix, recall_from_similarity
@@ -270,3 +275,39 @@ def soft_labels(sets: SetsOracle) -> np.ndarray:
         if i not in sets.s_u and i not in sets.s_p:
             labels[i] = 1.0
     return labels
+
+
+def em_fit(losses: np.ndarray) -> nfb.GmmParams:
+    x = np.asarray(losses, dtype=np.float64).reshape(-1)
+    if x.size < 4:
+        return nfb.GmmParams(weights=np.array([1.0 - 1e-12, 1e-12]),
+                             means=np.array([0.0, 1.0]),
+                             variances=np.array([1e6, 1e6]),
+                             fallback=True)
+    mu = np.percentile(x, [25.0, 75.0]).astype(np.float64)
+    var0 = max(float(x.var()), nfb.VARIANCE_FLOOR)
+    gmm = nfb.GmmParams(weights=np.array([0.5, 0.5]), means=mu,
+                        variances=np.array([var0, var0]))
+    prev_ll = None
+    for it in range(nfb.DEFAULT_MAX_ITERS + 1):
+        lj = nfb._log_joint(gmm, x)
+        m = lj.max(axis=0)
+        ll = float((m + np.log(np.exp(lj - m).sum(axis=0))).sum())
+        gmm.log_likelihoods.append(ll)
+        if (prev_ll is not None and ll - prev_ll < nfb.DEFAULT_TOL) \
+                or it == nfb.DEFAULT_MAX_ITERS:
+            break
+        prev_ll = ll
+        post = np.exp(lj - m)
+        post /= post.sum(axis=0)
+        nk = post.sum(axis=1)
+        nk = np.maximum(nk, 1e-12)
+        gmm.weights = nk / x.size
+        gmm.means = (post * x).sum(axis=1) / nk
+        gmm.variances = np.maximum(
+            (post * (x - gmm.means[:, None]) ** 2).sum(axis=1) / nk, nfb.VARIANCE_FLOOR)
+        gmm.n_iters = it + 1
+    if gmm.means[0] > gmm.means[1]:
+        for attr in ("weights", "means", "variances"):
+            setattr(gmm, attr, getattr(gmm, attr)[::-1].copy())
+    return gmm

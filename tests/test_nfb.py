@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from noisycir import nfb
 from noisycir.errors import ShapeError
 from noisycir.nfb import (DEFAULT_THETA, GmmParams, build_sets, em_fit,
                           normalize_losses, posterior, soft_labels)
@@ -115,6 +116,57 @@ class TestEmFit:
                             variances=gmm.variances[::-1].copy())
         p1 = posterior(flipped, x)
         assert np.allclose(p0 + p1, 1.0, atol=1e-9)
+
+
+def _em_inputs():
+    """Loss vectors of n 4-40 and 1714: raw and min-max normalized, ties
+    (rounded to 0.1), constant, and a few with one or every entry NaN (each
+    of those runs DEFAULT_MAX_ITERS iterations)."""
+    rng = np.random.default_rng(14)
+    for i in range(2000):
+        n = 1714 if i % 100 == 0 else int(rng.integers(4, 41))
+        # low clean losses with ~30% high noisy ones, or no structure at all
+        x = np.where(rng.random(n) < 0.3, rng.normal(3.0, 0.5, n), rng.gamma(2.0, 0.5, n)) \
+            if i % 2 else rng.uniform(0, 5, n)
+        kind = i % 5
+        if kind == 1:
+            x = normalize_losses(x)
+        elif kind == 2:
+            x = np.round(x, 1)
+        elif kind == 3:
+            x = normalize_losses(np.round(x, 1))
+        elif kind == 4:
+            x = np.full(n, float(x[0]))
+        if i % 50 == 5:
+            x[rng.integers(n)] = np.nan
+        elif i % 50 == 7:
+            x[:] = np.nan
+        yield x
+
+
+class TestEmFitAgainstOracle:
+    def test_every_field_equals_the_reference_fit(self):
+        with np.errstate(all="ignore"):
+            for x in _em_inputs():
+                got, want = em_fit(x), oracles.em_fit(x)
+                for name in ("weights", "means", "variances"):
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+                assert got.n_iters == want.n_iters
+                assert np.array_equal(got.log_likelihoods, want.log_likelihoods,
+                                      equal_nan=True)
+                assert got.fallback == want.fallback
+
+    @pytest.mark.parametrize("n", range(4, 65))
+    def test_quartiles_equal_numpy_percentile(self, n):
+        # n = 3 (mod 4) puts the 25th and 75th percentiles at t == 0.5
+        rng = np.random.default_rng(n)
+        for _ in range(25):
+            # lognormal neighbours far apart in magnitude make b - a inexact,
+            # where the two interpolation formulas can round apart
+            for x in (rng.uniform(0, 1, n), rng.lognormal(0.0, 4.0, n),
+                      np.round(rng.uniform(0, 1, n), 1), rng.uniform(-1e3, 1e3, n)):
+                assert nfb._quartiles(x).tobytes() \
+                    == np.percentile(x, [25.0, 75.0]).tobytes()
 
 
 class TestPosterior:

@@ -254,8 +254,23 @@ class TestFilterPath:
                                          cfg.batch_size))
         assert len(fit_calls) == (1 if scope == "epoch" else n_batches)
         assert len(em_calls) == len(fit_calls)
-        main, wcb = result.filter_rows
-        assert dataclasses.replace(wcb, view="main") == main
+        (row,) = result.filter_rows
+        assert row.view == "main"
+
+    @pytest.mark.parametrize("enable_wcb, scope", [(True, "epoch"), (False, "batch")],
+                             ids=["full_epoch_scope", "nfb_only_batch_scope"])
+    def test_run_is_the_same_under_the_reference_em(self, small_dataset, monkeypatch,
+                                                    enable_wcb, scope):
+        cfg = dataclasses.replace(SMALL_CFG, enable_wcb=enable_wcb, filter_scope=scope)
+        result = run_training(small_dataset, cfg)
+        monkeypatch.setattr(nfb, "em_fit", oracles.em_fit)
+        want = run_training(small_dataset, cfg)
+        assert result.records == want.records
+        assert result.filter_rows == want.filter_rows
+        assert result.store.flat_params.tobytes() == want.store.flat_params.tobytes()
+        views = ["main", "wcb"] if enable_wcb else ["main"]
+        assert [r.view for r in result.filter_rows] \
+            == views * (cfg.epochs - cfg.warmup_epochs)
 
     @pytest.mark.parametrize("n_views", [1, 2])
     @pytest.mark.parametrize("theta", [0.3, 0.5])

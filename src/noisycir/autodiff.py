@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInputError, NumericalError, ShapeError
+from .errors import NumericalError, ShapeError
 
 _NORM_EPS = 1e-12
 
@@ -186,12 +186,11 @@ def mlp_values(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
 
 def cosine_values(q: np.ndarray, t: np.ndarray):
     """All-pairs cosines over the last two axes, out[..., i, j] = cos(q_i, t_j),
-    then (unit rows, row norms) of q and of t."""
+    then (unit rows, row norms) of q and of t. A row is divided by
+    max(||x||, _NORM_EPS), so a zero row has cosine 0 with every row."""
     units = []
     for x in (q, t):
-        norms = np.linalg.norm(x, axis=-1, keepdims=True)
-        if norms.min() < _NORM_EPS:
-            raise DegenerateInputError("cosine_matrix row with (near-)zero norm")
+        norms = np.maximum(np.linalg.norm(x, axis=-1, keepdims=True), _NORM_EPS)
         units.append((x / norms, norms))
     return units[0][0] @ np.swapaxes(units[1][0], -1, -2), *units
 
@@ -302,8 +301,9 @@ def cosine_matrix(q: Var, t: Var) -> Var:
         g = _fault("cosine_matrix", out.grad)
         dqh = g @ th
         dth = g.T @ qh
-        q.grad += (dqh - (dqh * qh).sum(axis=1, keepdims=True) * qh) / qn
-        t.grad += (dth - (dth * th).sum(axis=1, keepdims=True) * th) / tn
+        # a clamped row maps as x / eps, which has no tangent projection
+        q.grad += (dqh - (qn > _NORM_EPS) * (dqh * qh).sum(axis=1, keepdims=True) * qh) / qn
+        t.grad += (dth - (tn > _NORM_EPS) * (dth * th).sum(axis=1, keepdims=True) * th) / tn
 
     out._backward = bw
     return out

@@ -4,8 +4,8 @@ Exit codes are a stable contract:
     0 success, 1 usage/config error, 2 I/O error,
     3 data validation error (a malformed .ncld or .nclw file, or a run
     directory whose summary.csv or run_meta.json `report` cannot read),
-    4 numerical failure (including degenerate input such as a zero-norm
-    embedding).
+    4 numerical failure (a non-finite loss, a failed gradient check, or a
+    degenerate split).
 All outputs are written atomically (temp file + rename) so a failing
 command never leaves a partial artifact behind.
 """

@@ -12,7 +12,7 @@ class ShapeError(ValueError):
 
 
 class DegenerateInputError(ValueError):
-    """Input is numerically degenerate (e.g. zero-norm vector fed to cosine)."""
+    """Input is numerically degenerate (e.g. no clean pair to hold out)."""
 
 
 class ConfigError(ValueError):

@@ -6,17 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import cosine_values
 from .errors import ConfigError, ShapeError
 
 
 def cosine_similarity_matrix(queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:
-    q = np.asarray(queries, dtype=np.float64)
-    g = np.asarray(gallery, dtype=np.float64)
-    qn = np.linalg.norm(q, axis=1, keepdims=True)
-    gn = np.linalg.norm(g, axis=1, keepdims=True)
-    qn[qn == 0] = 1.0
-    gn[gn == 0] = 1.0
-    return (q / qn) @ (g / gn).T
+    """All-pairs cosines under autodiff.cosine_values's zero-norm clamp."""
+    return cosine_values(queries, gallery)[0]
 
 
 def recall_from_similarity(sims: np.ndarray, k: int) -> float:

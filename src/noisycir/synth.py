@@ -246,15 +246,6 @@ def _build(concepts: np.ndarray, spec: DatasetSpec, indices, records: np.ndarray
                                             np.r_[-1, :k])
 
 
-def synth_triplet(concepts: np.ndarray, spec: DatasetSpec, index: int) -> TripletSample:
-    """Generate sample `index` deterministically from (spec, seed, index)."""
-    if not 0 <= index < spec.num_triplets:
-        raise ConfigError(f"index {index} out of range for N={spec.num_triplets}")
-    records = np.empty((1, spec.record_size))
-    _build(concepts, spec, [index], records)
-    return Dataset(records, spec)[0]
-
-
 def generate_dataset(spec: DatasetSpec) -> Dataset:
     concepts, n = make_concepts(spec), spec.num_triplets
     records = np.empty((n, spec.record_size))

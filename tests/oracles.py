@@ -20,6 +20,9 @@ build_sets and soft_labels are the noise filter's decision as it ran before
 it was kept as accept masks: per-view frozensets, combined by set algebra,
 and labels rebuilt from the sets pair by pair.
 
+cosine_similarity_matrix is evaluation's cosine as it ran before it called
+autodiff.cosine_values: a second normalisation that divided a zero row by 1.
+
 em_fit is the mixture fit as it ran before each E-step shared one exp:
 np.percentile start, a GmmParams updated in place, and the log joint
 exponentiated once for the log-likelihood and again for the
@@ -34,8 +37,8 @@ import numpy as np
 from noisycir import autodiff as ad
 from noisycir import nfb, trainer
 from noisycir.autodiff import _NORM_EPS, ParamStore, Tape, Var, _fault, _same_tape
-from noisycir.errors import DegenerateInputError, ShapeError
-from noisycir.evaluation import cosine_similarity_matrix, recall_from_similarity
+from noisycir.errors import ShapeError
+from noisycir.evaluation import recall_from_similarity
 from noisycir.fusion import nce_per_sample
 from noisycir.synth import (_DISTRACTOR_RAW, TRUTH_CLEAN, TRUTH_MISMATCHED,
                             TRUTH_PARTIAL, DatasetSpec, TokenBundle,
@@ -108,24 +111,35 @@ def vsum(a: Var) -> Var:
 
 
 def cosine(u: Var, v: Var) -> Var:
-    """Cosine similarity of two (1, d) vectors; raises on zero-norm input."""
+    """Cosine similarity of two (1, d) vectors, each divided by
+    max(norm, _NORM_EPS); a clamped vector has no tangent projection."""
     tape = _same_tape(u, v)
     if u.shape != v.shape or u.shape[0] != 1:
         raise ShapeError(f"cosine {u.shape} vs {v.shape}")
-    nu = float(np.linalg.norm(u.value))
-    nv = float(np.linalg.norm(v.value))
-    if nu < _NORM_EPS or nv < _NORM_EPS:
-        raise DegenerateInputError("cosine of (near-)zero-norm vector")
+    nu = max(float(np.linalg.norm(u.value)), _NORM_EPS)
+    nv = max(float(np.linalg.norm(v.value)), _NORM_EPS)
     c = float(np.dot(u.value[0], v.value[0])) / (nu * nv)
     out = Var(tape, np.array([[c]]))
 
     def bw():
         g = _fault("cosine", out.grad[0, 0])
-        u.grad += g * (v.value / (nu * nv) - c * u.value / (nu * nu))
-        v.grad += g * (u.value / (nu * nv) - c * v.value / (nv * nv))
+        u.grad += g * (v.value / (nu * nv) - (nu > _NORM_EPS) * c * u.value / (nu * nu))
+        v.grad += g * (u.value / (nu * nv) - (nv > _NORM_EPS) * c * v.value / (nv * nv))
 
     out._backward = bw
     return out
+
+
+def cosine_similarity_matrix(queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:
+    """All-pairs cosines as evaluation computed them before it shared
+    autodiff.cosine_values: a zero row is divided by 1, not clamped."""
+    q = np.asarray(queries, dtype=np.float64)
+    g = np.asarray(gallery, dtype=np.float64)
+    qn = np.linalg.norm(q, axis=1, keepdims=True)
+    gn = np.linalg.norm(g, axis=1, keepdims=True)
+    qn[qn == 0] = 1.0
+    gn[gn == 0] = 1.0
+    return (q / qn) @ (g / gn).T
 
 
 def recall_at_k(queries: np.ndarray, gallery: np.ndarray, k: int) -> float:

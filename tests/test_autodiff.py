@@ -6,7 +6,7 @@ import pytest
 
 from noisycir import autodiff as ad
 from noisycir.autodiff import ParamStore, Tape
-from noisycir.errors import DegenerateInputError, ShapeError
+from noisycir.errors import ShapeError
 from noisycir.storage import read_weights, write_weights
 from tests import oracles
 
@@ -104,10 +104,46 @@ class TestCosine:
         out = oracles.cosine(tape.const([[1.0, 1.0]]), tape.const([[1.0, 0.0]]))
         assert out.scalar() == pytest.approx(0.7071067811865475, abs=1e-15)
 
-    def test_zero_norm_raises(self):
-        tape = Tape()
-        with pytest.raises(DegenerateInputError):
-            oracles.cosine(tape.const([[0.0, 0.0]]), tape.const([[1.0, 0.0]]))
+    def test_zero_norm_is_clamped(self):
+        store = ParamStore()
+        store.add("u", np.zeros((1, 2)))
+        store.add("v", np.array([[3.0, 4.0]]))
+
+        def f(st):
+            tape = Tape()
+            return oracles.cosine(tape.param(st, "u"), tape.param(st, "v"))
+
+        assert f(store).scalar() == 0.0
+        grads = analytic_grads(f, store)
+        assert np.array_equal(grads["u"], store.params["v"] / (ad._NORM_EPS * 5.0))
+        assert np.array_equal(grads["v"], np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("norm", [0.0, 1e-14])
+    def test_clamped_rows_backward_matches_central_differences(self, norm):
+        """A row under the clamp maps as x / eps; a step of 1e-17 keeps every
+        perturbed row of norm < eps under it."""
+        rng = np.random.default_rng(7)
+        q, t = rng.standard_normal((4, 5)), rng.standard_normal((3, 5))
+        for x, row in ((q, 1), (t, 2)):
+            x[row] *= norm / np.linalg.norm(x[row])
+        weights = rng.standard_normal((4, 3))
+        store = ParamStore()
+        store.add("q", q)
+        store.add("t", t)
+
+        def f(st):
+            tape = Tape()
+            sims = ad.cosine_matrix(tape.param(st, "q"), tape.param(st, "t"))
+            return oracles.vsum(oracles.emul(sims, tape.const(weights)))
+
+        ana = analytic_grads(f, store)
+        for name, row in (("q", 1), ("t", 2)):
+            num = numeric_grad(f, store, name, step=1e-17)[row]
+            assert np.allclose(ana[name][row], num, rtol=1e-8, atol=0.0), name
+            assert np.abs(ana[name][row]).max() > 1e9  # the 1 / eps scale
+            rest = np.delete(np.arange(store.params[name].shape[0]), row)
+            num = numeric_grad(f, store, name)[rest]
+            assert np.allclose(ana[name][rest], num, rtol=1e-6, atol=1e-9), name
 
     def test_range(self):
         rng = np.random.default_rng(3)
@@ -529,8 +565,25 @@ class TestValueMath:
             assert np.array_equal(losses[i], taped.value)
 
     @pytest.mark.parametrize("side", ["q", "t"])
-    def test_near_zero_row_inside_a_stack_raises(self, side):
+    def test_near_zero_row_inside_a_stack_is_clamped(self, side):
         q, t = self._stack()
-        (q if side == "q" else t)[3, 2] = 1e-14
-        with pytest.raises(DegenerateInputError):
-            ad.cosine_values(q, t)
+        before = ad.cosine_values(q, t)
+        x = q if side == "q" else t
+        x[3, 2] = 1e-14
+        after = ad.cosine_values(q, t)
+        k = 1 if side == "q" else 2
+        units, norms = after[k]
+        assert np.array_equal(units[3, 2], x[3, 2] / ad._NORM_EPS)
+        assert norms[3, 2, 0] == ad._NORM_EPS
+        # every other row keeps its bytes, and so does every cosine without it
+        other = np.ones(units.shape[:2], dtype=bool)
+        other[3, 2] = False
+        for j in (1, 2):
+            assert np.array_equal(after[j][0][other], before[j][0][other])
+            assert np.array_equal(after[j][1][other], before[j][1][other])
+        keep = np.ones(after[0].shape, dtype=bool)
+        if side == "q":
+            keep[3, 2, :] = False
+        else:
+            keep[3, :, 2] = False
+        assert np.array_equal(after[0][keep], before[0][keep])

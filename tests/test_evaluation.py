@@ -4,6 +4,8 @@ import pytest
 from noisycir.errors import ConfigError, ShapeError
 from noisycir.evaluation import (cosine_similarity_matrix, evaluate_filter,
                                  recall_from_similarity)
+from noisycir.autodiff import cosine_values
+from tests import oracles
 from tests.oracles import recall_at_k
 
 
@@ -32,6 +34,24 @@ class TestSimilarityMatrix:
         g = np.array([[1.0, 1.0]])
         sims = cosine_similarity_matrix(q, g)
         assert sims[0, 0] == 0.0
+
+    def test_equals_the_second_normalisation_it_replaced(self):
+        """cosine_values, on single matrices and on stacks, has the bytes of
+        the old evaluation cosine: rows of any scale, and zero rows."""
+        rng = np.random.default_rng(16)
+        for case in range(2000):
+            s, nq, ng, d = rng.integers(1, 4), *rng.integers(1, 61, 3)
+            scale = 10.0 ** rng.uniform(-6, 6, (s, 1, 1))
+            q = rng.standard_normal((s, nq, d)) * scale
+            g = rng.standard_normal((s, ng, d)) * scale
+            q[rng.uniform(size=(s, nq)) < 0.1] = 0.0
+            g[rng.uniform(size=(s, ng)) < 0.1] = 0.0
+            want = np.stack([oracles.cosine_similarity_matrix(a, b) for a, b in zip(q, g)])
+            if s == 1:
+                got = cosine_similarity_matrix(q[0], g[0])[None]
+            else:
+                got = cosine_values(q, g)[0]
+            assert got.tobytes() == want.tobytes(), case
 
 
 class TestRecall:

@@ -5,7 +5,7 @@ import pytest
 
 from noisycir import autodiff as ad
 from noisycir.autodiff import ParamStore, Tape
-from noisycir.errors import ConfigError, DegenerateInputError, ShapeError
+from noisycir.errors import ConfigError, ShapeError
 from noisycir.fusion import (VIEW_GLOBAL, VIEW_WCB, fuse_query, masked_loss,
                              nce_per_sample, soft_nce_loss)
 from noisycir.trainer import init_params
@@ -47,9 +47,9 @@ class TestFuseQuery:
         q = fuse_query(tape.const(rng.uniform(size=(2, d))),
                        tape.const(rng.uniform(size=(2, d))), store, VIEW_GLOBAL)
         assert np.array_equal(q.value, np.zeros((2, d)))
-        # downstream cosine on the zero query is the documented error path
-        with pytest.raises(DegenerateInputError):
-            nce_per_sample(q, tape.const(rng.uniform(size=(2, d))), 0.07)
+        # the zero query has cosine 0 with every target: a uniform softmax
+        losses = nce_per_sample(q, tape.const(rng.uniform(size=(2, d))), 0.07)
+        assert np.array_equal(losses.value, np.full((2, 1), math.log(2)))
 
     def test_swapping_halves_changes_output(self):
         d = 8

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from noisycir.errors import ConfigError
-from noisycir.synth import (TRUTHS, DatasetSpec, generate_dataset, make_concepts,
-                            synth_triplet)
+from noisycir.synth import TRUTHS, DatasetSpec, generate_dataset, make_concepts
 from tests import oracles
 
 SMALL = DatasetSpec(num_concepts=8, dim=16, text_tokens=6, image_patches=10,
@@ -44,8 +43,7 @@ class TestSynthTriplet:
         spec = DatasetSpec(num_concepts=8, dim=16, num_triplets=40,
                            mismatch_rate=1.0, seed=3)
         concepts = make_concepts(spec)
-        for i in range(spec.num_triplets):
-            s = synth_triplet(concepts, spec, i)
+        for s in generate_dataset(spec):
             assert s.truth == "mismatched"
             # target image center is far from the intended target anchor
             t = s.concept_ids[1]
@@ -62,7 +60,7 @@ class TestSynthTriplet:
 
     def test_shapes_and_global_indices(self):
         spec = SMALL
-        s = synth_triplet(make_concepts(spec), spec, 0)
+        s = generate_dataset(spec)[0]
         n, m, d = spec.text_tokens, spec.image_patches, spec.dim
         assert s.mod_text.tokens.shape == (n + 2, d)
         assert s.mod_text.global_index == n + 1
@@ -103,21 +101,10 @@ class TestSynthTriplet:
             hits += int(np.argmax(sims) == s.concept_ids[1])
         assert hits / 300 >= 0.99
 
-    def test_index_out_of_range(self):
-        concepts = make_concepts(SMALL)
-        with pytest.raises(ConfigError):
-            synth_triplet(concepts, SMALL, SMALL.num_triplets)
-
-    def test_negative_index_rejected(self):
-        with pytest.raises(ConfigError, match="out of range"):
-            synth_triplet(make_concepts(SMALL), SMALL, -1)
-
     def test_single_concept_rejected(self):
         spec = DatasetSpec(num_concepts=1, num_triplets=3)
         with pytest.raises(ConfigError, match="2 concepts"):
             generate_dataset(spec)
-        with pytest.raises(ConfigError, match="2 concepts"):
-            synth_triplet(make_concepts(spec), spec, 0)
 
 
 def assert_same_samples(got, want):
@@ -158,13 +145,6 @@ class TestBlockBuilder:
     def test_block_boundaries(self, n):
         spec = DatasetSpec(num_triplets=n, mismatch_rate=0.2, partial_rate=0.1, seed=5)
         assert_same_samples(generate_dataset(spec), oracles.generate_dataset(spec))
-
-    def test_synth_triplet_equals_generated_sample(self):
-        spec = DatasetSpec(num_triplets=300, mismatch_rate=0.3, partial_rate=0.3, seed=2)
-        concepts = make_concepts(spec)
-        samples = generate_dataset(spec)
-        for i in (0, 1, 255, 256, 299):
-            assert_same_samples([synth_triplet(concepts, spec, i)], [samples[i]])
 
 
 class TestPackedDataset:

@@ -167,6 +167,22 @@ class TestTraining:
         for k in a.store.params:
             assert np.array_equal(a.store.params[k], b.store.params[k])
 
+    @pytest.mark.filterwarnings("ignore:concept anchors nearly collinear")
+    @pytest.mark.parametrize("seed", range(10))
+    def test_dim_4_trains_through_zero_query_rows(self, seed):
+        # at dim 4 a fusion MLP row with every hidden unit dead is an exact
+        # zero query; the cosine clamps its norm instead of failing the run
+        data = generate_dataset(DatasetSpec(dim=4, num_triplets=200, mismatch_rate=0.3,
+                                            seed=seed))
+        result = run_training(data, TrainConfig(epochs=5, seed=seed))
+        assert len(result.records) == 5
+        for rec in result.records:
+            values = [rec.train_loss, rec.label1_fraction, rec.recall_at_1,
+                      rec.recall_at_10, rec.recall_at_50]
+            if rec.filter_score is not None:
+                values += dataclasses.astuple(rec.filter_score)
+            assert np.all(np.isfinite(values))
+
     def test_filter_disabled_equals_labels_forced_one(self, small_dataset):
         # with the filter off every epoch behaves like warm-up, so a run with
         # warmup_epochs >= epochs must coincide exactly

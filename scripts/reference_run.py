@@ -13,20 +13,18 @@ Usage: python3 scripts/reference_run.py [--seed 0]
 """
 
 import argparse
-import dataclasses
 import sys
 import time
 
 from noisycir.synth import DatasetSpec, generate_dataset
-from noisycir.trainer import ABLATION_VARIANTS, TrainConfig, run_training
+from noisycir.trainer import ABLATION_VARIANTS, TrainConfig, run_training, variant_config
 
 
 def run_variants(samples, config):
     results = {}
-    for name, use_wcb, use_nfb in ABLATION_VARIANTS:
-        cfg = dataclasses.replace(config, enable_wcb=use_wcb, enable_nfb=use_nfb)
+    for name, _, _ in ABLATION_VARIANTS:
         t0 = time.time()
-        result = run_training(samples, cfg)
+        result = run_training(samples, variant_config(config, name))
         final = result.records[-1]
         results[name] = result
         print(f"  {name:>9}: R@1={final.recall_at_1:.3f} "
@@ -59,9 +57,7 @@ def main(argv=None):
     print("clean control (no planted noise), baseline vs full")
     clean = {}
     for name in ("baseline", "full"):
-        flags = {n: (w, f) for n, w, f in ABLATION_VARIANTS}[name]
-        cfg = dataclasses.replace(config, enable_wcb=flags[0], enable_nfb=flags[1])
-        clean[name] = run_training(generate_dataset(clean_spec), cfg)
+        clean[name] = run_training(generate_dataset(clean_spec), variant_config(config, name))
         print(f"  {name:>9}: R@10={clean[name].records[-1].recall_at_10:.3f}")
     gap = (clean["baseline"].records[-1].recall_at_10
            - clean["full"].records[-1].recall_at_10)

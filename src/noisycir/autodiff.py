@@ -8,7 +8,8 @@ A forward pass computes values only. Gradient buffers are allocated by
 Tape.backward, and work that only the gradient needs (argmax routing, ReLU
 masks, softmax probabilities) runs inside the backward closures, so a tape
 that is never replayed costs no more than its forward values. Until
-backward runs, every Var.grad is None.
+backward runs, every Var.grad is None. Each backward fills every node's
+gradient afresh and ends by adding each parameter's into its ParamStore.
 
 mlp_forward records a two-layer perceptron as one fused node: a single
 closure back-propagates through both layers and the ReLU, so the hidden
@@ -110,6 +111,7 @@ class Tape:
         return self._params[key][2]
 
     def backward(self, loss: Var) -> None:
+        """Replay the tape, then add each parameter's gradient into its store."""
         if loss.tape is not self:
             raise ShapeError("loss does not belong to this tape")
         if loss.value.size != 1:
@@ -120,9 +122,6 @@ class Tape:
         for node in reversed(self._nodes):
             if node._backward is not None:
                 node._backward()
-
-    def accumulate_grads(self) -> None:
-        """Add this tape's parameter gradients into their stores."""
         for store, name, var in self._params.values():
             store.grads[name] += var.grad
 
@@ -218,23 +217,16 @@ def _same_tape(*vars_: Var) -> Tape:
 
 
 def add(a: Var, b: Var) -> Var:
-    """Elementwise add; b may be a (1, n) row bias broadcast over a's rows."""
+    """Elementwise add of two matrices of one shape."""
     tape = _same_tape(a, b)
-    if a.shape == b.shape:
-        bias = False
-    elif b.shape == (1, a.shape[1]):
-        bias = True
-    else:
+    if a.shape != b.shape:
         raise ShapeError(f"add {a.shape} + {b.shape}")
     out = Var(tape, a.value + b.value)
 
     def bw():
         g = _fault("add", out.grad)
         a.grad += g
-        if bias:
-            b.grad += g.sum(axis=0, keepdims=True)
-        else:
-            b.grad += g
+        b.grad += g
 
     out._backward = bw
     return out
@@ -415,7 +407,6 @@ def grad_check(f, store: ParamStore) -> GradCheckReport:
         if not np.isfinite(out.value).all():
             raise NumericalError("gradient check target evaluated non-finite")
         out.tape.backward(out)
-        out.tape.accumulate_grads()
     analytic = {k: v.copy() for k, v in store.grads.items()}
 
     max_rel = 0.0

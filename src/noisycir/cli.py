@@ -29,7 +29,8 @@ from .errors import (ConfigError, DataFormatError, DegenerateInputError, Numeric
 from .storage import _atomic_write, read_dataset, write_dataset, write_weights
 from .synth import TRUTHS, DatasetSpec, generate_dataset
 from .trainer import (ABLATION_VARIANTS, RECALL_KS, FilterReportRow, forward_batch,
-                      init_params, run_ablation, run_training, split_dataset)
+                      init_params, run_ablation, run_training, split_dataset,
+                      variant_config)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -55,10 +56,8 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     if getattr(args, "seed", None) is not None:
         train = dataclasses.replace(train, seed=args.seed)
         dataset = dataclasses.replace(dataset, seed=args.seed)
-    variant = getattr(args, "variant", None)
-    if variant is not None:  # argparse has checked it against ABLATION_VARIANTS
-        w, n = {name: (w, n) for name, w, n in ABLATION_VARIANTS}[variant]
-        train = dataclasses.replace(train, enable_wcb=w, enable_nfb=n)
+    if getattr(args, "variant", None) is not None:  # argparse has checked the name
+        train = variant_config(train, args.variant)
     return RunConfig(dataset=dataset, train=train)
 
 
@@ -66,7 +65,7 @@ def cmd_generate(args) -> int:
     cfg = _apply_overrides(load_run_config(args.config), args)
     samples = generate_dataset(cfg.dataset)
     write_dataset(samples, cfg.dataset, args.out)
-    counts = np.bincount(samples.records[:, -3].astype(np.intp), minlength=len(TRUTHS))
+    counts = np.bincount(samples.truth_codes.astype(np.intp), minlength=len(TRUTHS))
     print(f"wrote {len(samples)} triplets to {args.out}")
     print(f"spec: {dataclasses.asdict(cfg.dataset)}")
     for truth, count in zip(TRUTHS, counts.tolist()):
@@ -218,27 +217,23 @@ def build_parser() -> argparse.ArgumentParser:
         prog="noisycir",
         description="Noise-aware contrastive retrieval toolkit (desk scale)")
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = argparse.ArgumentParser(add_help=False)  # generate, train and ablate
+    shared.add_argument("--config", required=True)
+    shared.add_argument("--out", required=True)
+    shared.add_argument("--seed", type=int)
 
-    gen = sub.add_parser("generate", help="generate a synthetic triplet dataset")
-    gen.add_argument("--config", required=True)
-    gen.add_argument("--out", required=True)
-    gen.add_argument("--seed", type=int)
+    gen = sub.add_parser("generate", parents=[shared],
+                         help="generate a synthetic triplet dataset")
     gen.set_defaults(func=cmd_generate)
 
-    tr = sub.add_parser("train", help="train on a dataset file")
-    tr.add_argument("--config", required=True)
+    tr = sub.add_parser("train", parents=[shared], help="train on a dataset file")
     tr.add_argument("--dataset", required=True)
-    tr.add_argument("--out", required=True)
-    tr.add_argument("--seed", type=int)
     tr.add_argument("--variant",
                     choices=[name for name, _, _ in ABLATION_VARIANTS])
     tr.set_defaults(func=cmd_train)
 
-    ab = sub.add_parser("ablate", help="train all four flag variants")
-    ab.add_argument("--config", required=True)
+    ab = sub.add_parser("ablate", parents=[shared], help="train all four flag variants")
     ab.add_argument("--dataset", required=True)
-    ab.add_argument("--out", required=True)
-    ab.add_argument("--seed", type=int)
     ab.set_defaults(func=cmd_ablate)
 
     gc = sub.add_parser("gradcheck", help="full-pipeline gradient check")

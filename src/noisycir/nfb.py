@@ -2,7 +2,8 @@
 
 Each view's per-sample contrastive losses are min-max normalized, a
 2-component GMM is fit to them by EM (means started at the sorted quartiles;
-each E-step's one exp gives both the log-likelihood and the responsibilities),
+each E-step's one exp gives both the log-likelihood and the responsibilities;
+the E-step and the posterior take the log joint from one function, _log_joint),
 and a view accepts a pair when the posterior of the low-loss component exceeds
 theta: the decision is one (2, n) boolean array of per-view accept masks. Soft
 labels keep (label 1) exactly the pairs every view accepts; the matched,
@@ -71,11 +72,10 @@ def normalize_losses(losses: np.ndarray) -> np.ndarray:
     return (x - lo) / (hi - lo)
 
 
-def _log_joint(gmm: GmmParams, x: np.ndarray) -> np.ndarray:
-    """log(pi_k * N(x; mu_k, var_k)) stacked as (2, n)."""
-    w, mu, var = gmm.weights[:, None], gmm.means[:, None], gmm.variances[:, None]
-    return np.log(w) - 0.5 * (np.log(2.0 * np.pi * var)
-                              + (x[None, :] - mu) ** 2 / var)
+def _log_joint(w: np.ndarray, var: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """log(pi_k * N(x; mu_k, var_k)) stacked as (2, n), from (2, 1) columns of
+    weights and variances and d2 = (x - mu) ** 2."""
+    return np.log(w) - 0.5 * (np.log(2.0 * np.pi * var) + d2 / var)
 
 
 def _quartiles(x: np.ndarray) -> np.ndarray:
@@ -107,12 +107,11 @@ def em_fit(losses: np.ndarray) -> GmmParams:
                          variances=np.array([1e6, 1e6]),
                          fallback=True)
     var0 = max(float(x.var()), VARIANCE_FLOOR)
-    # weights, means and variances as (2, 1) columns that broadcast against x;
-    # lj is _log_joint's expression, value for value, with d2 = (x - mu) ** 2
+    # weights, means and variances as (2, 1) columns that broadcast against x
     w, mu, var = np.full((2, 1), 0.5), _quartiles(x)[:, None], np.full((2, 1), var0)
     d2, lls, prev_ll = (x - mu) ** 2, [], None
     for it in range(DEFAULT_MAX_ITERS + 1):
-        lj = np.log(w) - 0.5 * (np.log(2.0 * np.pi * var) + d2 / var)
+        lj = _log_joint(w, var, d2)
         m = np.maximum(lj[0], lj[1])  # what a reduce over the 2 rows computes
         e = np.exp(lj - m)
         s = e[0] + e[1]
@@ -139,7 +138,8 @@ def posterior(gmm: GmmParams, losses: np.ndarray | float) -> np.ndarray:
     x = np.atleast_1d(np.asarray(losses, dtype=np.float64))
     if gmm.fallback:
         return np.ones_like(x)
-    lj = _log_joint(gmm, x)
+    lj = _log_joint(gmm.weights[:, None], gmm.variances[:, None],
+                    (x - gmm.means[:, None]) ** 2)
     return np.exp(lj[0] - np.logaddexp(lj[0], lj[1]))
 
 

@@ -163,10 +163,10 @@ def read_dataset(path: str) -> tuple[Dataset, DatasetSpec]:
     if n_samples != spec.num_triplets or payload.size != n_samples * spec.record_size * 8:
         raise DataFormatError("payload size, n_samples and the spec's num_triplets disagree")
     # the records are the bytes read, viewed in place
-    records = payload.view("<f8").reshape(n_samples, spec.record_size)
-    _check_codes(records[:, -3], len(TRUTHS), "truth code")
-    _check_codes(records[:, -2:], spec.num_concepts, "concept ids")
-    return Dataset(records, spec), spec
+    dataset = Dataset(payload.view("<f8").reshape(n_samples, spec.record_size), spec)
+    _check_codes(dataset.truth_codes, len(TRUTHS), "truth code")
+    _check_codes(dataset.concept_ids, spec.num_concepts, "concept ids")
+    return dataset, spec
 
 
 def write_weights(store: ParamStore, path: str, extra: dict | None = None) -> None:

@@ -118,8 +118,10 @@ class TripletSample:
 class Dataset:
     """Triplets as the rows of one (N, spec.record_size) array, with (N, L, d)
     bundle views mod_text, ref_image and tar_image, and images, the last two
-    as one (2, N, L, d) view. An int index gives a TripletSample of views; a
-    slice or an index array, the Dataset of those records (an array's gathered)."""
+    as one (2, N, L, d) view; truth_codes (N,) and concept_ids (N, 2) view each
+    record's codes, the only columns read outside this module. An int index
+    gives a TripletSample of views; a slice or an index array, the Dataset of
+    those records (an array's gathered)."""
 
     def __init__(self, records: np.ndarray, spec: DatasetSpec):
         if records.shape[1:] != (spec.record_size,):
@@ -130,19 +132,21 @@ class Dataset:
         pair = records[:, n * w:-3].reshape(len(records), 2, m * w).swapaxes(0, 1)
         self.images = _bundles(pair, m, 0, "image")
         self.ref_image, self.tar_image = self.images[0], self.images[1]
+        self.truth_codes, self.concept_ids = records[:, -3], records[:, -2:]
 
     @property
     def is_noisy(self) -> np.ndarray:
-        return self.records[:, -3] != TRUTHS.index(TRUTH_CLEAN)
+        return self.truth_codes != TRUTHS.index(TRUTH_CLEAN)
 
     def __len__(self) -> int:
         return len(self.records)
 
     def __getitem__(self, index) -> TripletSample | Dataset:
         if isinstance(index, (int, np.integer)):
-            code, r, t = self.records[index, -3:].astype(np.intp).tolist()
+            r, t = self.concept_ids[index].astype(np.intp).tolist()
             return TripletSample(self.mod_text[index], self.ref_image[index],
-                                 self.tar_image[index], TRUTHS[code], (r, t))
+                                 self.tar_image[index],
+                                 TRUTHS[int(self.truth_codes[index])], (r, t))
         return Dataset(self.records[index], self.spec)
 
     def __iter__(self) -> Iterator[TripletSample]:

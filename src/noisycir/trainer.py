@@ -295,7 +295,6 @@ def train_epoch(store: ParamStore, optimizer: Adam, samples: Dataset,
                     f"non-finite loss at epoch {epoch} batch {batch_no}; "
                     f"param norms: {_diagnostics(store)}")
             tape.backward(loss)
-            tape.accumulate_grads()
         optimizer.step()
         losses.append(loss.scalar())
         label_sum += labels.sum()
@@ -355,13 +354,18 @@ ABLATION_VARIANTS = (
 )
 
 
+def variant_config(config: TrainConfig, name: str) -> TrainConfig:
+    """config with the enable_wcb and enable_nfb flags of the variant `name`."""
+    use_wcb, use_nfb = {n: (w, f) for n, w, f in ABLATION_VARIANTS}[name]
+    return dataclasses.replace(config, enable_wcb=use_wcb, enable_nfb=use_nfb)
+
+
 def run_ablation(samples: Dataset,
                  config: TrainConfig) -> list[dict[str, object]]:
     """Train the four flag combinations under identical seeds; final metrics."""
     rows: list[dict[str, object]] = []
-    for name, use_wcb, use_nfb in ABLATION_VARIANTS:
-        cfg = dataclasses.replace(config, enable_wcb=use_wcb, enable_nfb=use_nfb)
-        result = run_training(samples, cfg)
+    for name, _, _ in ABLATION_VARIANTS:
+        result = run_training(samples, variant_config(config, name))
         final = result.records[-1] if result.records else None
         recalls = {f"R@{k}": getattr(final, f"recall_at_{k}", 0.0) for k in RECALL_KS}
         rows.append({"variant": name, **recalls, "Avg": sum(recalls.values()) / 3.0})

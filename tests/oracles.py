@@ -2,8 +2,9 @@
 
 The composed autodiff ops below are the op-by-op building blocks the fused
 mlp_forward and the batched pooling and similarity ops replaced; no code in
-the package calls them. Each keeps its fault hook, so gradient-check tests
-can plant a fault in it.
+the package calls them. add_bias is autodiff.add's former (1, n) row-bias
+form. Each keeps its fault hook, so gradient-check tests can plant a fault
+in it.
 
 taped_epoch_losses is the trainer's epoch-scope loss pass as it ran before
 its losses were stacked: one forward_batch and one nce_per_sample per chunk.
@@ -26,7 +27,7 @@ autodiff.cosine_values: a second normalisation that divided a zero row by 1.
 em_fit is the mixture fit as it ran before each E-step shared one exp:
 np.percentile start, a GmmParams updated in place, and the log joint
 exponentiated once for the log-likelihood and again for the
-responsibilities.
+responsibilities. Its log joint is its own, _log_joint, not the package's.
 """
 
 import math
@@ -43,6 +44,23 @@ from noisycir.fusion import nce_per_sample
 from noisycir.synth import (_DISTRACTOR_RAW, TRUTH_CLEAN, TRUTH_MISMATCHED,
                             TRUTH_PARTIAL, DatasetSpec, TokenBundle,
                             TripletSample, make_concepts)
+
+
+def add_bias(a: Var, bias: Var) -> Var:
+    """a plus a (1, n) row bias broadcast over a's rows."""
+    tape = _same_tape(a, bias)
+    if bias.shape != (1, a.shape[1]):
+        raise ShapeError(f"add_bias {a.shape} + {bias.shape}")
+    out = Var(tape, a.value + bias.value)
+
+    def bw():
+        g = _fault("add", out.grad)
+        a.grad += g
+        bias.grad += g.sum(axis=0, keepdims=True)
+
+    out._backward = bw
+    return out
+
 
 def matmul(a: Var, b: Var) -> Var:
     tape = _same_tape(a, b)
@@ -291,6 +309,13 @@ def soft_labels(sets: SetsOracle) -> np.ndarray:
     return labels
 
 
+def _log_joint(gmm: nfb.GmmParams, x: np.ndarray) -> np.ndarray:
+    """log(pi_k * N(x; mu_k, var_k)) stacked as (2, n)."""
+    w, mu, var = gmm.weights[:, None], gmm.means[:, None], gmm.variances[:, None]
+    return np.log(w) - 0.5 * (np.log(2.0 * np.pi * var)
+                              + (x[None, :] - mu) ** 2 / var)
+
+
 def em_fit(losses: np.ndarray) -> nfb.GmmParams:
     x = np.asarray(losses, dtype=np.float64).reshape(-1)
     if x.size < 4:
@@ -304,7 +329,7 @@ def em_fit(losses: np.ndarray) -> nfb.GmmParams:
                         variances=np.array([var0, var0]))
     prev_ll = None
     for it in range(nfb.DEFAULT_MAX_ITERS + 1):
-        lj = nfb._log_joint(gmm, x)
+        lj = _log_joint(gmm, x)
         m = lj.max(axis=0)
         ll = float((m + np.log(np.exp(lj - m).sum(axis=0))).sum())
         gmm.log_likelihoods.append(ll)

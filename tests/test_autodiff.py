@@ -32,7 +32,6 @@ def analytic_grads(f, store):
     store.zero_grads()
     out = f(store)
     out.tape.backward(out)
-    out.tape.accumulate_grads()
     return {k: v.copy() for k, v in store.grads.items()}
 
 
@@ -359,7 +358,6 @@ class TestProperties:
         store.zero_grads()
         both = loss_for([x1, x2])
         both.tape.backward(both)
-        both.tape.accumulate_grads()
         g_sum = store.grads["w"].copy()
 
         g_parts = np.zeros_like(g_sum)
@@ -367,7 +365,6 @@ class TestProperties:
             store.zero_grads()
             one = loss_for([x])
             one.tape.backward(one)
-            one.tape.accumulate_grads()
             g_parts += store.grads["w"]
         assert np.allclose(g_sum, g_parts, atol=1e-12)
 
@@ -381,7 +378,7 @@ class TestProperties:
         def f(st):
             tape = Tape()
             prod = oracles.matmul(tape.param(st, "a"), tape.param(st, "b"))
-            h = oracles.relu(ad.add(prod, tape.param(st, "bias")))
+            h = oracles.relu(oracles.add_bias(prod, tape.param(st, "bias")))
             pooled = oracles.maxpool_rows(h)
             return oracles.vsum(oracles.emul(pooled, pooled))
 
@@ -431,13 +428,53 @@ class TestLeanTape:
         assert loss.grad.tolist() == [[1.0]]
 
 
+class TestBackwardFillsTheStore:
+    def _store(self):
+        store = ParamStore()
+        store.init_mlp("m", 4, 5, 4, np.random.default_rng(21))
+        return store
+
+    def test_one_backward_leaves_finite_difference_gradients_in_the_store(self):
+        store = self._store()
+
+        def f(st):
+            return _every_op_loss(Tape(), st)
+
+        loss = f(store)
+        loss.tape.backward(loss)  # and nothing after it
+        ana = {k: v.copy() for k, v in store.grads.items()}
+        for name in store.names():
+            num = numeric_grad(f, store, name)
+            assert np.allclose(ana[name], num, rtol=1e-5, atol=1e-8), name
+        assert any(g.any() for g in ana.values())
+
+    def test_a_second_backward_adds_to_the_store_again(self):
+        store = self._store()
+        tape = Tape()
+        loss = _every_op_loss(tape, store)
+        tape.backward(loss)
+        once = store.flat_grads.copy()
+        tape.backward(loss)
+        assert once.any()
+        assert np.array_equal(store.flat_grads, once + once)
+
+
+def test_add_rejects_operands_of_unequal_shape():
+    tape = Tape()
+    a = tape.const(np.ones((3, 4)))
+    for other in (np.ones((1, 4)), np.ones((3, 1)), np.ones((4, 3))):
+        with pytest.raises(ShapeError):
+            ad.add(a, tape.const(other))
+    assert ad.add(a, tape.const(np.ones((3, 4)))).value.tolist() == [[2.0] * 4] * 3
+
+
 def composed_mlp(x, store, name):
     """Reference MLP recorded op by op: matmul -> add -> relu -> matmul -> add."""
     tape = x.tape
-    h = oracles.relu(ad.add(oracles.matmul(x, tape.param(store, f"{name}.W1")),
-                            tape.param(store, f"{name}.b1")))
-    return ad.add(oracles.matmul(h, tape.param(store, f"{name}.W2")),
-                  tape.param(store, f"{name}.b2"))
+    h = oracles.relu(oracles.add_bias(oracles.matmul(x, tape.param(store, f"{name}.W1")),
+                                      tape.param(store, f"{name}.b1")))
+    return oracles.add_bias(oracles.matmul(h, tape.param(store, f"{name}.W2")),
+                            tape.param(store, f"{name}.b2"))
 
 
 def _mlp_case():
@@ -458,7 +495,6 @@ def _mlp_value_and_grads(mlp, store, x, weights):
     xv = tape.const(x)
     out = mlp(oracles.relu(xv), store, "m")
     tape.backward(oracles.vsum(oracles.emul(out, tape.const(weights))))
-    tape.accumulate_grads()
     return out.value, xv.grad, {k: v.copy() for k, v in store.grads.items()}
 
 

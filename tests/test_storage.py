@@ -15,7 +15,7 @@ from noisycir.errors import ConfigError, DataFormatError
 from noisycir import storage
 from noisycir.storage import (MAGIC_DATASET, read_dataset, read_weights,
                               write_dataset, write_weights)
-from noisycir.synth import DatasetSpec, generate_dataset
+from noisycir.synth import TRUTHS, DatasetSpec, generate_dataset
 
 SPEC = DatasetSpec(num_concepts=6, dim=8, text_tokens=4, image_patches=6,
                    num_triplets=12, mismatch_rate=0.3, seed=5)
@@ -229,6 +229,23 @@ def test_concept_ids_come_back_as_python_ints(dataset_file):
     loaded, _ = read_dataset(str(path))
     assert [repr(s.concept_ids) for s in loaded] == [repr(s.concept_ids) for s in samples]
     assert all(type(c) is int for s in loaded for c in s.concept_ids)
+
+
+def test_code_views_equal_each_sample_before_and_after_a_round_trip(tmp_path):
+    spec = dataclasses.replace(SPEC, num_triplets=40, partial_rate=0.3)
+    made = generate_dataset(spec)
+    write_dataset(made, spec, str(tmp_path / "codes.ncld"))
+    loaded, _ = read_dataset(str(tmp_path / "codes.ncld"))
+    for ds in (made, loaded, made[np.array([9, 2, 30])]):
+        samples = list(ds)
+        assert ds.truth_codes.shape == (len(ds),)
+        assert ds.concept_ids.shape == (len(ds), 2)
+        assert [TRUTHS[int(c)] for c in ds.truth_codes] == [s.truth for s in samples]
+        assert ds.concept_ids.tolist() == [list(s.concept_ids) for s in samples]
+        assert ds.is_noisy.tolist() == [s.is_noisy for s in samples]
+    assert set(s.truth for s in made) == set(TRUTHS)
+    assert np.array_equal(loaded.truth_codes, made.truth_codes)
+    assert np.array_equal(loaded.concept_ids, made.concept_ids)
 
 
 @pytest.mark.parametrize("mutate", [

@@ -9,9 +9,10 @@ from noisycir import nfb, trainer
 from noisycir.autodiff import Tape
 from noisycir.errors import ConfigError
 from noisycir.synth import DatasetSpec, generate_dataset
-from noisycir.trainer import (Adam, TrainConfig, _collect_epoch_losses,
-                              _fit_and_label, forward_batch, init_params,
-                              run_training, split_dataset, train_epoch)
+from noisycir.trainer import (ABLATION_VARIANTS, Adam, TrainConfig,
+                              _collect_epoch_losses, _fit_and_label, forward_batch,
+                              init_params, run_training, split_dataset, train_epoch,
+                              variant_config)
 from tests import oracles
 
 SMALL_SPEC = DatasetSpec(num_concepts=8, dim=16, text_tokens=4, image_patches=8,
@@ -47,6 +48,19 @@ class TestConfigValidation:
 
     def test_defaults_valid(self):
         TrainConfig().validate()
+
+
+@pytest.mark.parametrize("name, flags", [
+    ("baseline", (False, False)), ("wcb_only", (True, False)),
+    ("nfb_only", (False, True)), ("full", (True, True))])
+def test_variant_config_sets_the_variant_flags_and_nothing_else(name, flags):
+    assert name in [n for n, _, _ in ABLATION_VARIANTS]
+    for start in ((True, True), (False, False), (not flags[0], not flags[1])):
+        base = TrainConfig(batch_size=8, epochs=3, theta=0.4, filter_scope="batch",
+                           seed=7, enable_wcb=start[0], enable_nfb=start[1])
+        cfg = variant_config(base, name)
+        assert (cfg.enable_wcb, cfg.enable_nfb) == flags
+        assert dataclasses.replace(cfg, enable_wcb=start[0], enable_nfb=start[1]) == base
 
 
 class TestSplit:

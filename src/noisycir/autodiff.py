@@ -1,19 +1,23 @@
 """Minimal reverse-mode autodiff over dense float64 matrices.
 
 Everything is a 2-D numpy array wrapped in a Var that lives on a Tape.
-Ops record a backward closure; Tape.backward replays them in reverse
-recording order. Single-threaded per tape by design.
+A value enters a tape only through Tape.const, which makes it a 2-D
+float64 array; every other Var is an op's output. Ops record a backward
+closure; Tape.backward replays them in reverse recording order.
+Single-threaded per tape by design.
 
 A forward pass computes values only. Gradient buffers are allocated by
 Tape.backward, and work that only the gradient needs (argmax routing, ReLU
 masks, softmax probabilities) runs inside the backward closures, so a tape
 that is never replayed costs no more than its forward values. Until
 backward runs, every Var.grad is None. Each backward fills every node's
-gradient afresh and ends by adding each parameter's into its ParamStore.
+gradient afresh.
 
-mlp_forward records a two-layer perceptron as one fused node: a single
-closure back-propagates through both layers and the ReLU, so the hidden
-activations get no tape nodes or gradient buffers of their own.
+mlp_forward records a two-layer perceptron as one fused node: it reads its
+weights from a ParamStore, and a single closure back-propagates through both
+layers and the ReLU and adds the weights' gradients straight into the store.
+So parameters and hidden activations get no tape nodes of their own, and a
+second backward adds to the store again.
 
 A ParamStore keeps all parameters in one contiguous buffer and all
 gradients in another; params[name] and grads[name] are reshaped views into
@@ -65,9 +69,6 @@ class Var:
     __slots__ = ("value", "grad", "tape", "_backward")
 
     def __init__(self, tape: "Tape", value: np.ndarray):
-        value = np.ascontiguousarray(value, dtype=np.float64)
-        if value.ndim != 2:
-            raise ShapeError(f"Var must be 2-D, got shape {value.shape}")
         self.value = value
         self.grad = None
         self.tape = tape
@@ -89,7 +90,6 @@ class Tape:
 
     def __init__(self):
         self._nodes: list[Var] = []
-        self._params: dict[tuple[int, str], tuple["ParamStore", str, Var]] = {}
 
     def __enter__(self) -> "Tape":
         return self
@@ -98,20 +98,16 @@ class Tape:
         for node in self._nodes:   # cut tape <-> node <-> closure cycles
             node.tape = node._backward = None
         self._nodes.clear()
-        self._params.clear()
 
     def const(self, value) -> Var:
+        """A leaf holding value as a C-contiguous 2-D float64 array."""
+        value = np.ascontiguousarray(value, dtype=np.float64)
+        if value.ndim != 2:
+            raise ShapeError(f"Var must be 2-D, got shape {value.shape}")
         return Var(self, value)
 
-    def param(self, store: "ParamStore", name: str) -> Var:
-        """Var bound to a named parameter; cached so reuse shares gradients."""
-        key = (id(store), name)
-        if key not in self._params:
-            self._params[key] = (store, name, Var(self, store.params[name]))
-        return self._params[key][2]
-
     def backward(self, loss: Var) -> None:
-        """Replay the tape, then add each parameter's gradient into its store."""
+        """Replay the tape; mlp_forward nodes add into their stores."""
         if loss.tape is not self:
             raise ShapeError("loss does not belong to this tape")
         if loss.value.size != 1:
@@ -122,8 +118,6 @@ class Tape:
         for node in reversed(self._nodes):
             if node._backward is not None:
                 node._backward()
-        for store, name, var in self._params.values():
-            store.grads[name] += var.grad
 
 
 class ParamStore:
@@ -343,31 +337,29 @@ def masked_mean(v: Var, weights: np.ndarray) -> Var:
 def mlp_forward(x: Var, store: ParamStore, name: str) -> Var:
     """Two-layer perceptron: linear -> ReLU -> linear, parameters from store.
 
-    Recorded as one tape node. Its backward applies the fault hooks of the
-    add, matmul and relu ops it stands for, in the order the composed ops
-    would run them.
+    Recorded as one tape node; its backward adds the parameters' gradients
+    into store.grads. It applies the fault hooks of the add, matmul and relu
+    ops it stands for, in the order the composed ops would run them.
     """
-    w1 = x.tape.param(store, f"{name}.W1")
-    b1 = x.tape.param(store, f"{name}.b1")
-    w2 = x.tape.param(store, f"{name}.W2")
-    b2 = x.tape.param(store, f"{name}.b2")
+    w1, b1, w2, b2 = (store.params[f"{name}.{p}"] for p in ("W1", "b1", "W2", "b2"))
+    gw1, gb1, gw2, gb2 = (store.grads[f"{name}.{p}"] for p in ("W1", "b1", "W2", "b2"))
     if x.shape[1] != w1.shape[0]:
         raise ShapeError(f"MLP {name}: input width {x.shape[1]} != {w1.shape[0]}")
-    y, h = mlp_values(x.value, w1.value, b1.value, w2.value, b2.value)
+    y, h = mlp_values(x.value, w1, b1, w2, b2)
     out = Var(x.tape, y)
 
     def bw():
         g = _fault("add", out.grad)
-        b2.grad += g.sum(axis=0, keepdims=True)
+        gb2[...] += g.sum(axis=0, keepdims=True)
         g = _fault("matmul", g)
-        dh = g @ w2.value.T
-        w2.grad += h.T @ g
+        dh = g @ w2.T
+        gw2[...] += h.T @ g
         g = _fault("relu", dh) * (h > 0.0)
         g = _fault("add", g)
-        b1.grad += g.sum(axis=0, keepdims=True)
+        gb1[...] += g.sum(axis=0, keepdims=True)
         g = _fault("matmul", g)
-        x.grad += g @ w1.value.T
-        w1.grad += x.value.T @ g
+        x.grad += g @ w1.T
+        gw1[...] += x.value.T @ g
 
     out._backward = bw
     return out

@@ -1,5 +1,10 @@
 """Reference implementations the tests compare the package against.
 
+param is a store parameter as a tape leaf, for the composed ops below: a
+sink node recorded just before the leaf adds the leaf's gradient into the
+store. Being recorded earlier, the sink runs after every reader of the leaf
+when the tape is replayed.
+
 The composed autodiff ops below are the op-by-op building blocks the fused
 mlp_forward and the batched pooling and similarity ops replaced; no code in
 the package calls them. add_bias is autodiff.add's former (1, n) row-bias
@@ -44,6 +49,18 @@ from noisycir.fusion import nce_per_sample
 from noisycir.synth import (_DISTRACTOR_RAW, TRUTH_CLEAN, TRUTH_MISMATCHED,
                             TRUTH_PARTIAL, DatasetSpec, TokenBundle,
                             TripletSample, make_concepts)
+
+
+def param(tape: Tape, store: ParamStore, name: str) -> Var:
+    """Leaf holding store.params[name]; backward adds its gradient into the store."""
+    sink = tape.const(np.zeros((1, 1)))
+    leaf = tape.const(store.params[name])
+
+    def bw():
+        store.grads[name] += leaf.grad
+
+    sink._backward = bw
+    return leaf
 
 
 def add_bias(a: Var, bias: Var) -> Var:

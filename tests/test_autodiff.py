@@ -72,7 +72,7 @@ class TestMatmul:
 
         def f(st):
             tape = Tape()
-            prod = oracles.matmul(tape.param(st, "a"), tape.param(st, "b"))
+            prod = oracles.matmul(oracles.param(tape, st, "a"), oracles.param(tape, st, "b"))
             return oracles.vsum(oracles.emul(prod, prod))
 
         assert_grads_match(f, store, rel_tol=1e-6)
@@ -110,7 +110,7 @@ class TestCosine:
 
         def f(st):
             tape = Tape()
-            return oracles.cosine(tape.param(st, "u"), tape.param(st, "v"))
+            return oracles.cosine(oracles.param(tape, st, "u"), oracles.param(tape, st, "v"))
 
         assert f(store).scalar() == 0.0
         grads = analytic_grads(f, store)
@@ -132,7 +132,7 @@ class TestCosine:
 
         def f(st):
             tape = Tape()
-            sims = ad.cosine_matrix(tape.param(st, "q"), tape.param(st, "t"))
+            sims = ad.cosine_matrix(oracles.param(tape, st, "q"), oracles.param(tape, st, "t"))
             return oracles.vsum(oracles.emul(sims, tape.const(weights)))
 
         ana = analytic_grads(f, store)
@@ -160,7 +160,7 @@ class TestCosine:
 
         def f(st):
             tape = Tape()
-            return oracles.cosine(tape.param(st, "u"), tape.param(st, "v"))
+            return oracles.cosine(oracles.param(tape, st, "u"), oracles.param(tape, st, "v"))
 
         assert_grads_match(f, store)
 
@@ -241,7 +241,7 @@ class TestMaxpoolRows:
 
         def f(st):
             tape = Tape()
-            out = oracles.maxpool_rows(tape.param(st, "x"))
+            out = oracles.maxpool_rows(oracles.param(tape, st, "x"))
             return oracles.vsum(oracles.emul(out, out))
 
         assert_grads_match(f, store)
@@ -271,7 +271,7 @@ class TestGradCheck:
 
         def f(st):
             tape = Tape()
-            x = tape.param(st, "x")
+            x = oracles.param(tape, st, "x")
             return oracles.vsum(oracles.emul(x, x))
 
         report = ad.grad_check(f, store)
@@ -287,7 +287,7 @@ class TestGradCheck:
 
         def f(st):
             tape = Tape()
-            tape.param(st, "x")  # recorded but unused downstream
+            oracles.param(tape, st, "x")  # recorded but unused downstream
             return tape.const(c)
 
         report = ad.grad_check(f, store)
@@ -302,7 +302,7 @@ class TestGradCheck:
 
         def f(st):
             tape = Tape()
-            prod = oracles.matmul(tape.param(st, "a"), tape.param(st, "b"))
+            prod = oracles.matmul(oracles.param(tape, st, "a"), oracles.param(tape, st, "b"))
             return oracles.vsum(oracles.emul(prod, prod))
 
         ad.set_backward_fault("matmul")
@@ -322,7 +322,7 @@ class TestGradCheck:
         def f(st):
             tape = Tape()
             refs.append(weakref.ref(tape))
-            prod = oracles.matmul(tape.param(st, "a"), tape.param(st, "b"))
+            prod = oracles.matmul(oracles.param(tape, st, "a"), oracles.param(tape, st, "b"))
             return oracles.vsum(oracles.emul(prod, prod))
 
         was_enabled = gc.isenabled()
@@ -348,7 +348,7 @@ class TestProperties:
 
         def loss_for(xs):
             tape = Tape()
-            w = tape.param(store, "w")
+            w = oracles.param(tape, store, "w")
             total = None
             for x in xs:
                 term = oracles.vsum(oracles.relu(oracles.matmul(tape.const(x), w)))
@@ -377,8 +377,8 @@ class TestProperties:
 
         def f(st):
             tape = Tape()
-            prod = oracles.matmul(tape.param(st, "a"), tape.param(st, "b"))
-            h = oracles.relu(oracles.add_bias(prod, tape.param(st, "bias")))
+            prod = oracles.matmul(oracles.param(tape, st, "a"), oracles.param(tape, st, "b"))
+            h = oracles.relu(oracles.add_bias(prod, oracles.param(tape, st, "bias")))
             pooled = oracles.maxpool_rows(h)
             return oracles.vsum(oracles.emul(pooled, pooled))
 
@@ -388,7 +388,7 @@ class TestProperties:
         store = ParamStore()
         store.add("x", np.array([[2.0]]))
         tape = Tape()
-        x = tape.param(store, "x")
+        x = oracles.param(tape, store, "x")
         loss = oracles.vsum(oracles.emul(x, x))
         tape.backward(loss)
         g1 = x.grad.copy()
@@ -468,13 +468,50 @@ def test_add_rejects_operands_of_unequal_shape():
     assert ad.add(a, tape.const(np.ones((3, 4)))).value.tolist() == [[2.0] * 4] * 3
 
 
+def test_const_makes_2d_float64_leaves():
+    tape = Tape()
+    for value in ([[1, 2], [3, 4]], np.array([[1.5, -2.0]], dtype=np.float32),
+                  np.arange(6.0).reshape(2, 3).T):
+        leaf = tape.const(value)
+        assert leaf.value.dtype == np.float64 and leaf.value.flags.c_contiguous
+        assert np.array_equal(leaf.value, np.asarray(value))
+    for bad in (np.ones(3), np.ones((2, 2, 2))):
+        with pytest.raises(ShapeError):
+            tape.const(bad)
+
+
+class TestMlpAppliedTwice:
+    @staticmethod
+    def _loss(tape, store, xs):
+        total = None
+        for x in xs:
+            out = ad.mlp_forward(tape.const(x), store, "m")
+            term = oracles.vsum(oracles.emul(out, out))
+            total = term if total is None else ad.add(total, term)
+        return total
+
+    def test_store_gradients_are_the_sum_of_each_application(self):
+        rng = np.random.default_rng(22)
+        store = ParamStore()
+        store.init_mlp("m", 4, 5, 3, rng)
+        xs = [rng.uniform(-1, 1, (6, 4)), rng.uniform(-1, 1, (2, 4))]
+        grads = []
+        for part in ([xs[0]], [xs[1]], xs):
+            store.zero_grads()
+            loss = self._loss(Tape(), store, part)
+            loss.tape.backward(loss)
+            grads.append(store.flat_grads.copy())
+        assert grads[0].any() and grads[1].any()
+        assert np.array_equal(grads[2], grads[0] + grads[1])
+        assert ad.grad_check(lambda st: self._loss(Tape(), st, xs), store).passed
+
+
 def composed_mlp(x, store, name):
     """Reference MLP recorded op by op: matmul -> add -> relu -> matmul -> add."""
-    tape = x.tape
-    h = oracles.relu(oracles.add_bias(oracles.matmul(x, tape.param(store, f"{name}.W1")),
-                                      tape.param(store, f"{name}.b1")))
-    return oracles.add_bias(oracles.matmul(h, tape.param(store, f"{name}.W2")),
-                            tape.param(store, f"{name}.b2"))
+    w1, b1, w2, b2 = (oracles.param(x.tape, store, f"{name}.{p}")
+                      for p in ("W1", "b1", "W2", "b2"))
+    h = oracles.relu(oracles.add_bias(oracles.matmul(x, w1), b1))
+    return oracles.add_bias(oracles.matmul(h, w2), b2)
 
 
 def _mlp_case():
@@ -516,11 +553,11 @@ class TestFusedMlp:
         for name, grad in composed[2].items():
             assert np.array_equal(fused[2][name], grad), name
 
-    def test_records_one_node_besides_its_parameters(self):
+    def test_records_only_its_input_and_output(self):
         store, x, _ = _mlp_case()
         tape = Tape()
         ad.mlp_forward(tape.const(x), store, "m")
-        assert len(tape._nodes) == 1 + 4 + 1  # input, W1 b1 W2 b2, output
+        assert len(tape._nodes) == 2
 
 
 class TestMaxpoolSegmentsScatter:

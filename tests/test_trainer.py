@@ -409,6 +409,20 @@ class TestTapeLifetime:
                                                 SMALL_CFG.temperature)
             tape.backward(loss)
             nodes = list(tape._nodes)
-        assert tape._nodes == [] and not tape._params
+        assert tape._nodes == []
         assert all(v.tape is None and v._backward is None for v in nodes)
         assert np.isfinite(loss.scalar())
+
+    def test_no_node_of_a_training_step_holds_a_parameter(self):
+        store = init_params(SMALL_SPEC.dim, 0)
+        samples = generate_dataset(SMALL_SPEC)[:8]
+        with Tape() as tape:
+            (q, t), (q_wcb, t_wcb) = forward_batch(tape, store, samples,
+                                                   enable_wcb=True)
+            loss = trainer.fusion.soft_nce_loss(q, t, q_wcb, t_wcb, np.ones(8),
+                                                SMALL_CFG.temperature)
+            tape.backward(loss)
+            assert store.flat_grads.any()
+            for node in tape._nodes:
+                assert not np.shares_memory(node.value, store.flat_params)
+                assert not np.shares_memory(node.grad, store.flat_grads)

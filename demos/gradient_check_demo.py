@@ -37,8 +37,8 @@ def main():
     print(f"max relative error: {report.max_rel_error:.3e}")
     print(f"passed: {report.passed}")
 
-    print("\nnow corrupting the backward pass of 'matmul' by 1% ...")
-    ad.set_backward_fault("matmul")
+    print("\nnow corrupting the backward pass of 'mlp_forward' by 1% ...")
+    ad.set_backward_fault("mlp_forward")
     try:
         bad = ad.grad_check(f, store)
     finally:

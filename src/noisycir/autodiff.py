@@ -25,14 +25,15 @@ them, so zeroing the gradients and an optimizer update each touch one array.
 
 Graph lifetime: a tape, its Vars and their closures point at each other; a
 Tape used as a context manager cuts those links when the block ends, so
-reference counting frees the graph. The taped ops take their values from
-array functions (mlp_values; cosine_values and xent_values, which also work
-over stacks of batches).
+reference counting frees the graph. cosine_matrix and softmax_xent_rows
+take their values from array functions, cosine_values and xent_values, which
+also work over stacks of batches.
 
 grad_check compares every parameter entry's tape gradient with a central
-difference, at a fixed step and tolerances. set_backward_fault, a test hook,
-corrupts the backward of one op named in FAULT_OPS, which grad_check must
-then catch.
+difference, at a fixed step and tolerances. FAULT_OPS names the ops the tape
+records, and each op's backward has one fault hook, at its top:
+set_backward_fault, a test hook, corrupts the backward of one of them, which
+grad_check must then catch.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ _NORM_EPS = 1e-12
 # Test hook: when set to one of FAULT_OPS, that op's backward multiplies its
 # gradient by a wrong factor so gradient checks must fail.
 FAULT_OPS = ("add", "maxpool_segments", "concat_cols", "slice_rows", "cosine_matrix",
-             "softmax_xent_rows", "masked_mean", "matmul", "relu")
+             "softmax_xent_rows", "masked_mean", "mlp_forward")
 _FAULT_OP: str | None = None
 
 
@@ -168,13 +169,6 @@ class ParamStore:
 
     def names(self) -> list[str]:
         return list(self.params.keys())
-
-
-def mlp_values(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
-               b2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Linear -> ReLU -> linear: (output, hidden activations)."""
-    h = np.maximum(x @ w1 + b1, 0.0)
-    return h @ w2 + b2, h
 
 
 def cosine_values(q: np.ndarray, t: np.ndarray):
@@ -338,26 +332,21 @@ def mlp_forward(x: Var, store: ParamStore, name: str) -> Var:
     """Two-layer perceptron: linear -> ReLU -> linear, parameters from store.
 
     Recorded as one tape node; its backward adds the parameters' gradients
-    into store.grads. It applies the fault hooks of the add, matmul and relu
-    ops it stands for, in the order the composed ops would run them.
+    into store.grads.
     """
     w1, b1, w2, b2 = (store.params[f"{name}.{p}"] for p in ("W1", "b1", "W2", "b2"))
     gw1, gb1, gw2, gb2 = (store.grads[f"{name}.{p}"] for p in ("W1", "b1", "W2", "b2"))
     if x.shape[1] != w1.shape[0]:
         raise ShapeError(f"MLP {name}: input width {x.shape[1]} != {w1.shape[0]}")
-    y, h = mlp_values(x.value, w1, b1, w2, b2)
-    out = Var(x.tape, y)
+    h = np.maximum(x.value @ w1 + b1, 0.0)
+    out = Var(x.tape, h @ w2 + b2)
 
     def bw():
-        g = _fault("add", out.grad)
+        g = _fault("mlp_forward", out.grad)
         gb2[...] += g.sum(axis=0, keepdims=True)
-        g = _fault("matmul", g)
-        dh = g @ w2.T
         gw2[...] += h.T @ g
-        g = _fault("relu", dh) * (h > 0.0)
-        g = _fault("add", g)
+        g = (g @ w2.T) * (h > 0.0)
         gb1[...] += g.sum(axis=0, keepdims=True)
-        g = _fault("matmul", g)
         x.grad += g @ w1.T
         gw1[...] += x.value.T @ g
 

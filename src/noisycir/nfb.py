@@ -41,7 +41,6 @@ class GmmParams:
 @dataclass(frozen=True, eq=False)
 class PairSets:
     """The filter's decision over n pairs, and the sets read from it."""
-    theta: float
     accept: np.ndarray       # (2, n) bool: row v is view v's posterior > theta
 
     n = property(lambda self: self.accept.shape[1])
@@ -151,7 +150,7 @@ def build_sets(post: np.ndarray, post_wcb: np.ndarray,
     post_wcb = np.asarray(post_wcb, dtype=np.float64).reshape(-1)
     if post.shape != post_wcb.shape:
         raise ShapeError("posterior vectors disagree in length")
-    return PairSets(theta=theta, accept=np.array([post, post_wcb]) > theta)
+    return PairSets(accept=np.array([post, post_wcb]) > theta)
 
 
 def soft_labels(sets: PairSets) -> np.ndarray:

@@ -185,7 +185,11 @@ def split_dataset(samples: Dataset,
     perm = rng.permutation(len(clean))
     n_eval = max(1, int(round(config.eval_fraction * len(clean))))
     eval_idx = sorted(clean[j] for j in perm[:n_eval])
-    return np.setdiff1d(np.arange(len(samples)), eval_idx).tolist(), eval_idx
+    train_idx = np.setdiff1d(np.arange(len(samples)), eval_idx).tolist()
+    if len(train_idx) < 2:  # the contrastive loss needs in-batch negatives
+        raise DegenerateInputError(
+            f"training needs at least 2 pairs, got {len(train_idx)}")
+    return train_idx, eval_idx
 
 
 def _batches(indices: np.ndarray, batch_size: int,
@@ -206,10 +210,6 @@ def _collect_epoch_losses(store: ParamStore, samples: Dataset,
                           ) -> list[np.ndarray]:
     """Detached per-sample losses over the whole training split, one vector
     per enabled view, in train_idx order."""
-    if len(train_idx) < 2:
-        raise DegenerateInputError(
-            f"the epoch-scope filter needs at least 2 training pairs, "
-            f"got {len(train_idx)}")
     chunks = _batches(np.asarray(train_idx), config.batch_size, fold_tail=True)
     embedded = []
     for chunk in chunks:

@@ -319,10 +319,10 @@ class TestGradcheck:
         assert "max relative error" in out
 
     def test_injected_fault_is_caught_and_named(self, capsys):
-        assert main(["gradcheck", "--inject-fault", "matmul"]) == EXIT_NUMERIC
+        assert main(["gradcheck", "--inject-fault", "mlp_forward"]) == EXIT_NUMERIC
         out = capsys.readouterr().out
         assert "FAIL" in out
-        assert "fault injected in op matmul" in out
+        assert "fault injected in op mlp_forward" in out
         # worst offender should be reported so failures are actionable
         assert "worst parameter" in out
 
@@ -336,23 +336,27 @@ class TestGradcheck:
         assert "FAIL (tolerance 1e-5)" in captured.out
 
     def test_fault_hook_resets_after_run(self, capsys):
-        main(["gradcheck", "--inject-fault", "matmul"])
+        assert main(["gradcheck", "--inject-fault", "mlp_forward"]) == EXIT_NUMERIC
         capsys.readouterr()
         assert main(["gradcheck"]) == EXIT_OK
 
     def test_unknown_fault_op_exits_1(self, capsys):
-        assert main(["gradcheck", "--inject-fault", "typo"]) == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert "invalid choice: 'typo'" in captured.err
-        assert "PASS" not in captured.out
+        # matmul and relu run inside the fused mlp_forward; the tape records neither
+        for op in ("typo", "matmul", "relu"):
+            assert main(["gradcheck", "--inject-fault", op]) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert f"invalid choice: '{op}'" in captured.err
+            assert "Traceback" not in captured.err
+            assert "PASS" not in captured.out
 
     def test_fault_ops_are_the_ops_with_a_hook(self):
+        # one hook per fault op, each a function of the module, and no other hook
         hooked = re.findall(r'_fault\("(\w+)"', inspect.getsource(ad))
-        assert sorted(set(hooked)) == sorted(ad.FAULT_OPS)
+        assert sorted(hooked) == sorted(ad.FAULT_OPS)
+        for op in ad.FAULT_OPS:
+            assert inspect.isfunction(getattr(ad, op, None)), op
 
-    @pytest.mark.parametrize("op", [
-        "add", "maxpool_segments", "concat_cols", "slice_rows", "cosine_matrix",
-        "softmax_xent_rows", "masked_mean", "matmul", "relu"])
+    @pytest.mark.parametrize("op", ad.FAULT_OPS)
     def test_every_fault_op_fails_the_check(self, op, capsys):
         assert main(["gradcheck", "--inject-fault", op]) == EXIT_NUMERIC
         out = capsys.readouterr().out
@@ -367,15 +371,24 @@ def _tiny_config(num_triplets, dim=4, image_patches=4):
             "train": {"epochs": 2, "warmup_epochs": 1, "seed": 0}}
 
 
+def _batch_scope(config):
+    return {**config, "train": {**config["train"], "filter_scope": "batch"}}
+
+
 @pytest.mark.parametrize("config, variant, code", [
     *[(_tiny_config(1), v, EXIT_NUMERIC)  # no clean pair to hold out
       for v in ("baseline", "wcb_only", "nfb_only", "full")],
-    (_tiny_config(2), "full", EXIT_NUMERIC),  # 1 training pair, epoch scope
+    # 1 training pair: no in-batch negative, whatever the variant and scope
+    *[(_tiny_config(2), v, EXIT_NUMERIC)
+      for v in ("full", "baseline", "wcb_only", "nfb_only")],
+    (_batch_scope(_tiny_config(2)), "full", EXIT_NUMERIC),
+    (_batch_scope(_tiny_config(2)), "nfb_only", EXIT_NUMERIC),
     (_tiny_config(20), "full", EXIT_OK),  # training splits of 1 mod 16
     (_tiny_config(38), "full", EXIT_OK),
     (_tiny_config(57, dim=8, image_patches=8), "full", EXIT_OK),
 ], ids=[f"1-{v}" for v in ("baseline", "wcb_only", "nfb_only", "full")]
-    + ["2-full", "20-full", "38-full", "57-d8-full"])
+    + [f"2-{v}" for v in ("full", "baseline", "wcb_only", "nfb_only")]
+    + ["2-full-batch", "2-nfb_only-batch", "20-full", "38-full", "57-d8-full"])
 def test_degenerate_split_exits_cleanly(tmp_path, capsys, config, variant, code):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config))
@@ -389,6 +402,7 @@ def test_degenerate_split_exits_cleanly(tmp_path, capsys, config, variant, code)
     if code == EXIT_NUMERIC:
         assert captured.err.startswith("numerical failure: ")
         assert captured.err.count("\n") == 1
+        assert not (tmp_path / "run" / "summary.csv").exists()
 
 
 class TestAblateAndReport:

@@ -7,7 +7,7 @@ import pytest
 
 from noisycir import nfb, trainer
 from noisycir.autodiff import Tape
-from noisycir.errors import ConfigError
+from noisycir.errors import ConfigError, DegenerateInputError
 from noisycir.synth import DatasetSpec, generate_dataset
 from noisycir.trainer import (ABLATION_VARIANTS, Adam, TrainConfig,
                               _collect_epoch_losses, _fit_and_label, forward_batch,
@@ -81,6 +81,16 @@ class TestSplit:
         c = split_dataset(small_dataset, dataclasses.replace(SMALL_CFG, seed=1))
         assert a == b
         assert a != c
+
+    @pytest.mark.parametrize("scope", ["epoch", "batch"])
+    @pytest.mark.parametrize("variant", [name for name, _, _ in ABLATION_VARIANTS])
+    def test_one_training_pair_fails_before_any_epoch(self, monkeypatch, variant, scope):
+        data = generate_dataset(dataclasses.replace(SMALL_SPEC, num_triplets=2,
+                                                    mismatch_rate=0.0))
+        monkeypatch.setattr(trainer, "train_epoch", None)  # never reached
+        cfg = variant_config(dataclasses.replace(SMALL_CFG, filter_scope=scope), variant)
+        with pytest.raises(DegenerateInputError, match="at least 2 pairs, got 1"):
+            run_training(data, cfg)
 
 
 class DictAdam:

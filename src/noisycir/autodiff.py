@@ -29,8 +29,9 @@ reference counting frees the graph. cosine_matrix and softmax_xent_rows
 take their values from array functions, cosine_values and xent_values, which
 also work over stacks of batches.
 
-grad_check compares every parameter entry's tape gradient with a central
-difference, at a fixed step and tolerances. FAULT_OPS names the ops the tape
+grad_check compares the tape's gradient of every entry of flat_params with a
+central difference, as two flat vectors, at a fixed step and tolerances; an
+entry whose difference is not finite fails. FAULT_OPS names the ops the tape
 records, and each op's backward has one fault hook, at its top:
 set_backward_fault, a test hook, corrupts the backward of one of them, which
 grad_check must then catch.
@@ -377,10 +378,14 @@ _ABS_TOL = 1e-8    # absolute tolerance
 def grad_check(f, store: ParamStore) -> GradCheckReport:
     """Compare tape gradients of scalar f(store) against central differences.
 
-    An entry passes absolutely when the discrepancy is within _ABS_TOL (this
-    covers zero gradients and entries below _ABS_FLOOR, whose quotient would
-    be dominated by finite-difference roundoff); all other entries must meet
-    the relative tolerance _TOL, and only those feed the reported relative error.
+    The tape's gradient and the central difference of every entry of
+    store.flat_params, in flat order, fill two vectors, which are then
+    compared entry by entry. An entry passes absolutely when the discrepancy is
+    within _ABS_TOL (this covers zero gradients and entries below _ABS_FLOOR,
+    whose quotient would be dominated by finite-difference roundoff); all other
+    entries must meet the relative tolerance _TOL, and only those feed the
+    reported relative error. An entry whose tape gradient or central difference
+    is not finite fails, and is reported as the relative error nan.
     """
     store.zero_grads()
     out = f(store)
@@ -388,45 +393,31 @@ def grad_check(f, store: ParamStore) -> GradCheckReport:
         if not np.isfinite(out.value).all():
             raise NumericalError("gradient check target evaluated non-finite")
         out.tape.backward(out)
-    analytic = {k: v.copy() for k, v in store.grads.items()}
+    ana = store.flat_grads.copy()
+    flat, num = store.flat_params, np.empty(ana.size)
+    for j, orig in enumerate(flat.tolist()):
+        flat[j] = orig + _STEP
+        with (out := f(store)).tape:
+            f_hi = out.scalar()
+        flat[j] = orig - _STEP
+        with (out := f(store)).tape:
+            num[j] = (f_hi - out.scalar()) / (2.0 * _STEP)
+        flat[j] = orig
 
-    max_rel = 0.0
-    max_abs = 0.0
-    worst = ""
-    n = 0
-    group_worst: dict[str, float] = {}
-    ok = True
-    for name, p in store.params.items():
-        flat = p.reshape(-1)
-        aflat = analytic[name].reshape(-1)
-        pw = 0.0
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + _STEP
-            with (out := f(store)).tape:
-                f_hi = out.scalar()
-            flat[j] = orig - _STEP
-            with (out := f(store)).tape:
-                f_lo = out.scalar()
-            flat[j] = orig
-            num = (f_hi - f_lo) / (2.0 * _STEP)
-            ana = aflat[j]
-            denom = max(abs(ana), abs(num))
-            diff = abs(ana - num)
-            n += 1
-            if diff <= _ABS_TOL or denom < _ABS_FLOOR:  # judged absolutely
-                err = diff
-                ok = ok and diff <= _ABS_TOL
-                max_abs = max(max_abs, err)
-            else:
-                err = diff / denom
-                if err > _TOL:
-                    ok = False
-                if err > max_rel:
-                    max_rel, worst = err, name
-            pw = max(pw, err)
-        grp = store.groups[name]
-        group_worst[grp] = max(group_worst.get(grp, 0.0), pw)
-    return GradCheckReport(passed=ok, max_rel_error=max_rel, max_abs_error=max_abs,
-                           worst_param=worst, n_entries=n,
-                           group_worst=group_worst)
+    with np.errstate(all="ignore"):  # a non-finite difference is nan or inf, and fails
+        diff = np.abs(ana - num)
+        denom = np.maximum(np.abs(ana), np.abs(num))  # nan if either is
+        absolute = (diff <= _ABS_TOL) | (denom < _ABS_FLOOR)
+        err = np.divide(diff, denom, out=diff.copy(), where=~absolute)
+    rel = np.where(absolute, 0.0, err)  # a relative error is never 0
+    max_rel = float(rel.max(initial=0.0))
+    sizes = [p.size for p in store.params.values()]
+    tags = [store.groups[name] for name in store.params]
+    group = np.repeat(tags, sizes)  # each entry's group
+    return GradCheckReport(
+        passed=bool(np.all(err <= np.where(absolute, _ABS_TOL, _TOL))),
+        max_rel_error=max_rel,
+        max_abs_error=float(np.where(absolute, err, 0.0).max(initial=0.0)),
+        worst_param=str(np.repeat(list(store.params), sizes)[rel.argmax()]) if max_rel else "",
+        n_entries=err.size,
+        group_worst={g: float(err[group == g].max(initial=0.0)) for g in dict.fromkeys(tags)})

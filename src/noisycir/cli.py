@@ -7,7 +7,8 @@ Exit codes are a stable contract:
     4 numerical failure (a non-finite loss, a failed gradient check, or a
     degenerate split).
 All outputs are written atomically (temp file + rename) so a failing
-command never leaves a partial artifact behind.
+command never leaves a partial artifact behind; train and ablate create
+their --out directory only once training has succeeded.
 """
 
 from __future__ import annotations
@@ -100,7 +101,6 @@ def cmd_train(args) -> int:
     cfg = _apply_overrides(load_run_config(args.config), args)
     samples, spec = read_dataset(args.dataset)
     cfg = dataclasses.replace(cfg, dataset=spec)  # record the data trained on
-    os.makedirs(args.out, exist_ok=True)
 
     notes = []
     if not cfg.train.enable_nfb:
@@ -111,6 +111,7 @@ def cmd_train(args) -> int:
 
     result = run_training(samples, cfg.train)
     notes += _small_eval_notes(len(result.eval_indices))
+    os.makedirs(args.out, exist_ok=True)
 
     rows = [_record_row(rec) for rec in result.records]
     _atomic_write_text(os.path.join(args.out, "epochs.jsonl"),
@@ -141,10 +142,10 @@ def cmd_train(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = _apply_overrides(load_run_config(args.config), args)
     samples, _spec = read_dataset(args.dataset)
-    os.makedirs(args.out, exist_ok=True)
     rows = run_ablation(samples, cfg.train)
     # every variant trains on the same split
     _small_eval_notes(len(split_dataset(samples, cfg.train)[1]))
+    os.makedirs(args.out, exist_ok=True)
     _atomic_write_text(os.path.join(args.out, "ablation.csv"),
                        _csv(rows, _ABLATION_COLUMNS))
     for row in rows:

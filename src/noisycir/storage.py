@@ -10,8 +10,8 @@ Dataset keeps in memory too: tokens then attention for the text, reference and
 target bundles, then [truth code, reference concept, target concept], with
 truth codes indexing synth.TRUTHS. Weight files use magic "NCLW". Their header
 is exactly {"kind", "params", "extra"}, each parameter {"name", "shape",
-"group"}; the payload is the parameters in that order, so offsets follow from
-the shapes.
+"group"}; the payload is the parameters in that order, the store's flat_params,
+so offsets follow from the shapes.
 
 Writes stream the header and the payload in chunks (a dataset's are slices of
 its records, as they are), with a running checksum, to a temp file in the
@@ -173,8 +173,7 @@ def write_weights(store: ParamStore, path: str, extra: dict | None = None) -> No
     params = [{"name": name, "shape": list(store.params[name].shape),
                "group": store.groups[name]} for name in store.names()]
     header = {"kind": "weights", "params": params, "extra": extra or {}}
-    arrays = (store.params[name] for name in store.names())
-    _atomic_write(path, _container(MAGIC_WEIGHTS, header, arrays))
+    _atomic_write(path, _container(MAGIC_WEIGHTS, header, [store.flat_params]))
 
 
 def read_weights(path: str) -> ParamStore:

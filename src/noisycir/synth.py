@@ -35,6 +35,7 @@ TRUTHS = (TRUTH_CLEAN, TRUTH_PARTIAL, TRUTH_MISMATCHED)  # a record's truth code
 # weight, before normalization. Normalized weight stays below 1/(10L).
 _DISTRACTOR_RAW = 0.05
 _BLOCK = 256  # samples per block: array calls spread thin, transients small
+_MAX_FLOATS = np.iinfo(np.intp).max // 8  # float64s in the largest array NumPy can index
 
 
 @dataclass(frozen=True)
@@ -57,6 +58,10 @@ class DatasetSpec:
             raise ConfigError("all dataset counts must be >= 1")
         if self.dim < 4:
             raise ConfigError("dim must be >= 4")
+        # the largest arrays generation allocates: the records and the concepts' Gram matrix
+        if max(self.num_triplets * self.record_size,
+               self.num_concepts * max(self.num_concepts, self.dim)) > _MAX_FLOATS:
+            raise ConfigError("dataset counts too large: an array would exceed NumPy's size limit")
         if not (0.0 <= self.mismatch_rate <= 1.0 and 0.0 <= self.partial_rate <= 1.0):
             raise ConfigError("noise rates must be in [0, 1]")
         if self.mismatch_rate + self.partial_rate > 1.0:
@@ -251,8 +256,11 @@ def _build(concepts: np.ndarray, spec: DatasetSpec, indices, records: np.ndarray
 
 
 def generate_dataset(spec: DatasetSpec) -> Dataset:
-    concepts, n = make_concepts(spec), spec.num_triplets
-    records = np.empty((n, spec.record_size))
+    n = spec.num_triplets
+    try:
+        concepts, records = make_concepts(spec), np.empty((n, spec.record_size))
+    except MemoryError:
+        raise ConfigError(f"a dataset of {n} triplets does not fit in memory") from None
     for i in range(0, n, _BLOCK):
         _build(concepts, spec, range(i, min(i + _BLOCK, n)), records[i:i + _BLOCK])
     return Dataset(records, spec)

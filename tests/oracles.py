@@ -33,6 +33,11 @@ em_fit is the mixture fit as it ran before each E-step shared one exp:
 np.percentile start, a GmmParams updated in place, and the log joint
 exponentiated once for the log-likelihood and again for the
 responsibilities. Its log joint is its own, _log_joint, not the package's.
+
+grad_check is the gradient check as it ran before it compared two flat
+vectors: a walk over the store name by name and entry by entry, with
+running maxima. Python's max keeps its first operand when the second is
+nan, and nan > _TOL is false, so a nan gradient or a nan probe passed it.
 """
 
 import math
@@ -42,8 +47,9 @@ import numpy as np
 
 from noisycir import autodiff as ad
 from noisycir import nfb, trainer
-from noisycir.autodiff import _NORM_EPS, ParamStore, Tape, Var, _fault, _same_tape
-from noisycir.errors import ShapeError
+from noisycir.autodiff import (_ABS_FLOOR, _ABS_TOL, _NORM_EPS, _STEP, _TOL, GradCheckReport,
+                               ParamStore, Tape, Var, _fault, _same_tape)
+from noisycir.errors import NumericalError, ShapeError
 from noisycir.evaluation import recall_from_similarity
 from noisycir.fusion import nce_per_sample
 from noisycir.synth import (_DISTRACTOR_RAW, TRUTH_CLEAN, TRUTH_MISMATCHED,
@@ -367,3 +373,61 @@ def em_fit(losses: np.ndarray) -> nfb.GmmParams:
         for attr in ("weights", "means", "variances"):
             setattr(gmm, attr, getattr(gmm, attr)[::-1].copy())
     return gmm
+
+
+def grad_check(f, store: ParamStore) -> GradCheckReport:
+    """Compare tape gradients of scalar f(store) against central differences.
+
+    An entry passes absolutely when the discrepancy is within _ABS_TOL (this
+    covers zero gradients and entries below _ABS_FLOOR, whose quotient would
+    be dominated by finite-difference roundoff); all other entries must meet
+    the relative tolerance _TOL, and only those feed the reported relative error.
+    """
+    store.zero_grads()
+    out = f(store)
+    with out.tape:  # every tape is closed, so reference counting frees it
+        if not np.isfinite(out.value).all():
+            raise NumericalError("gradient check target evaluated non-finite")
+        out.tape.backward(out)
+    analytic = {k: v.copy() for k, v in store.grads.items()}
+
+    max_rel = 0.0
+    max_abs = 0.0
+    worst = ""
+    n = 0
+    group_worst: dict[str, float] = {}
+    ok = True
+    for name, p in store.params.items():
+        flat = p.reshape(-1)
+        aflat = analytic[name].reshape(-1)
+        pw = 0.0
+        for j in range(flat.size):
+            orig = flat[j]
+            flat[j] = orig + _STEP
+            with (out := f(store)).tape:
+                f_hi = out.scalar()
+            flat[j] = orig - _STEP
+            with (out := f(store)).tape:
+                f_lo = out.scalar()
+            flat[j] = orig
+            num = (f_hi - f_lo) / (2.0 * _STEP)
+            ana = aflat[j]
+            denom = max(abs(ana), abs(num))
+            diff = abs(ana - num)
+            n += 1
+            if diff <= _ABS_TOL or denom < _ABS_FLOOR:  # judged absolutely
+                err = diff
+                ok = ok and diff <= _ABS_TOL
+                max_abs = max(max_abs, err)
+            else:
+                err = diff / denom
+                if err > _TOL:
+                    ok = False
+                if err > max_rel:
+                    max_rel, worst = err, name
+            pw = max(pw, err)
+        grp = store.groups[name]
+        group_worst[grp] = max(group_worst.get(grp, 0.0), pw)
+    return GradCheckReport(passed=ok, max_rel_error=max_rel, max_abs_error=max_abs,
+                           worst_param=worst, n_entries=n,
+                           group_worst=group_worst)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from noisycir import autodiff as ad
-from noisycir.autodiff import ParamStore, Tape
+from noisycir import cli
+from noisycir.autodiff import ParamStore, Tape, Var
 from noisycir.errors import ShapeError
 from noisycir.storage import read_weights, write_weights
 from tests import oracles
@@ -336,6 +337,82 @@ class TestGradCheck:
         assert report.passed
         assert len(refs) == 1 + 2 * report.n_entries
         assert alive == 0
+
+    def test_empty_store_passes_with_nothing_to_report(self):
+        report = ad.grad_check(lambda st: Tape().const([[1.0]]), ParamStore())
+        assert report == ad.GradCheckReport(passed=True, max_rel_error=0.0, max_abs_error=0.0,
+                                            worst_param="", n_entries=0, group_worst={})
+
+    @staticmethod
+    def _product_store():
+        store = ParamStore()
+        store.add("a", np.array([[1.0, -2.0, 0.5]]), group="x")
+        store.add("b", np.array([[3.0, 1.5, -1.0]]), group="y")
+        return store
+
+    def test_a_nan_gradient_fails(self):
+        def f(st):
+            tape = Tape()
+            a, b = (oracles.param(tape, st, n) for n in ("a", "b"))
+            poisoned = Var(tape, b.value)  # b, whose backward adds nan to b's gradient
+
+            def bw():
+                b.grad += poisoned.grad + poisoned.grad * np.nan
+
+            poisoned._backward = bw
+            return oracles.vsum(oracles.emul(a, poisoned))
+
+        report = ad.grad_check(f, self._product_store())
+        assert not report.passed
+        assert report.worst_param == "b" and np.isnan(report.max_rel_error)
+        assert report.group_worst["x"] < 1e-5 and np.isnan(report.group_worst["y"])
+        assert oracles.grad_check(f, self._product_store()).passed  # the hole it had
+
+    def test_a_nan_probe_fails(self):
+        store = self._product_store()
+        b1 = store.params["b"][0, 1]
+
+        def f(st):
+            tape = Tape()
+            a, b = (oracles.param(tape, st, n) for n in ("a", "b"))
+            if st.params["b"][0, 1] > b1:
+                return tape.const([[np.nan]])
+            return oracles.vsum(oracles.emul(a, b))
+
+        report = ad.grad_check(f, store)
+        assert not report.passed
+        assert report.worst_param == "b" and np.isnan(report.max_rel_error)
+        assert oracles.grad_check(f, self._product_store()).passed  # the hole it had
+
+    @pytest.mark.parametrize("argv, passed, worst", [
+        (["--seed", "0"], True, ""),
+        (["--seed", "9"], False, "wcb_image.b1"),
+        (["--inject-fault", "mlp_forward"], False, "wcb_image.b2"),
+    ], ids=["seed-0", "seed-9", "fault-mlp_forward"])
+    def test_gradcheck_objective_report_equals_the_per_entry_oracle(
+            self, monkeypatch, capsys, argv, passed, worst):
+        """Every field of the CLI's report, floats by their bytes, equals the
+        per-entry walk's on the same objective, fault hook set."""
+        reports = []
+
+        def both(f, store):
+            reports.extend([oracles.grad_check(f, store), flat_check(f, store)])
+            return reports[-1]
+
+        def fields(report):
+            def raw(x):
+                return np.float64(x).tobytes()
+            return (bool(report.passed), raw(report.max_rel_error), raw(report.max_abs_error),
+                    report.worst_param, report.n_entries,
+                    [(g, raw(e)) for g, e in report.group_worst.items()])
+
+        flat_check = ad.grad_check
+        monkeypatch.setattr(ad, "grad_check", both)
+        cli.main(["gradcheck", *argv])
+        capsys.readouterr()
+        want, got = reports
+        assert fields(got) == fields(want)
+        assert (got.passed, got.worst_param, got.n_entries) == (passed, worst, 704)
 
 
 class TestProperties:

@@ -6,6 +6,7 @@ import re
 import pytest
 
 from noisycir import autodiff as ad
+from noisycir import synth
 from noisycir.cli import (EXIT_DATA, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
                           EXIT_USAGE, _atomic_write_text, main)
 from tests.test_storage import rewrite_header, rewrite_record
@@ -111,6 +112,34 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {key} must be a JSON ")
         assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("num_triplets", 10**29),
+        ("num_concepts", 10**23),
+        ("dim", 10**20),
+        ("text_tokens", 10**20),
+        ("image_patches", 10**400),
+    ], ids=["num_triplets-1e29", "num_concepts-1e23", "dim-1e20", "text_tokens-1e20",
+            "image_patches-1e400"])
+    def test_oversized_count_exits_1_without_traceback(self, tmp_path, capsys, key, value):
+        # refused by the spec's size bound, before anything is allocated
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps({"dataset": {**SMALL["dataset"], key: value}}))
+        out = tmp_path / "d.ncld"
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert "too large" in _assert_one_line_error(capsys, "config error: ").err
+        assert not out.exists()
+
+    def test_dataset_that_does_not_fit_in_memory_exits_1(self, config_path, tmp_path,
+                                                          capsys, monkeypatch):
+        def no_memory(spec):
+            raise MemoryError("cannot allocate")
+
+        monkeypatch.setattr(synth, "make_concepts", no_memory)
+        out = tmp_path / "d.ncld"
+        assert main(["generate", "--config", config_path, "--out", str(out)]) == EXIT_USAGE
+        assert "does not fit in memory" in _assert_one_line_error(capsys, "config error: ").err
         assert not out.exists()
 
     def test_int_is_accepted_where_a_float_is_expected(self, tmp_path):
@@ -295,9 +324,11 @@ class TestCorruptHeader:
         _header_edit(lambda h: h.update(n_samples=h["n_samples"] + 1)),
         _header_edit(lambda h: h.update(n_samples=h["n_samples"] - 1)),
         _header_edit(lambda h: b"[" * DEEP + b"]" * DEEP),
+        _header_edit(lambda h: h["spec"].update(image_patches=10**400)),
     ], ids=["byte-12-0xff", "offsets-removed", "unknown-spec-key", "dim-64",
             "negative-offset", "dim-16", "unknown-truth", "fractional-truth",
-            "n-samples-plus-one", "n-samples-minus-one", "nested-too-deep"])
+            "n-samples-plus-one", "n-samples-minus-one", "nested-too-deep",
+            "image-patches-1e400"])
     def test_train_exits_3_without_traceback(self, tmp_path, corrupt, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"dataset": {"num_triplets": 10, "seed": 1}}))
@@ -383,26 +414,31 @@ def _batch_scope(config):
       for v in ("full", "baseline", "wcb_only", "nfb_only")],
     (_batch_scope(_tiny_config(2)), "full", EXIT_NUMERIC),
     (_batch_scope(_tiny_config(2)), "nfb_only", EXIT_NUMERIC),
+    (_tiny_config(1), None, EXIT_NUMERIC),  # None: ablate, all four variants
+    (_tiny_config(2), None, EXIT_NUMERIC),
     (_tiny_config(20), "full", EXIT_OK),  # training splits of 1 mod 16
     (_tiny_config(38), "full", EXIT_OK),
     (_tiny_config(57, dim=8, image_patches=8), "full", EXIT_OK),
 ], ids=[f"1-{v}" for v in ("baseline", "wcb_only", "nfb_only", "full")]
     + [f"2-{v}" for v in ("full", "baseline", "wcb_only", "nfb_only")]
-    + ["2-full-batch", "2-nfb_only-batch", "20-full", "38-full", "57-d8-full"])
+    + ["2-full-batch", "2-nfb_only-batch", "1-ablate", "2-ablate", "20-full", "38-full",
+       "57-d8-full"])
 def test_degenerate_split_exits_cleanly(tmp_path, capsys, config, variant, code):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config))
     data = tmp_path / "data.ncld"
     assert main(["generate", "--config", str(cfg), "--out", str(data)]) == EXIT_OK
     capsys.readouterr()
-    assert main(["train", "--config", str(cfg), "--dataset", str(data),
-                 "--out", str(tmp_path / "run"), "--variant", variant]) == code
+    command = ["ablate"] if variant is None else ["train", "--variant", variant]
+    run = tmp_path / "run"
+    assert main([*command, "--config", str(cfg), "--dataset", str(data),
+                 "--out", str(run)]) == code
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
     if code == EXIT_NUMERIC:
         assert captured.err.startswith("numerical failure: ")
         assert captured.err.count("\n") == 1
-        assert not (tmp_path / "run" / "summary.csv").exists()
+        assert not run.exists()
 
 
 class TestAblateAndReport:

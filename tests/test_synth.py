@@ -1,4 +1,5 @@
 import collections
+import math
 
 import numpy as np
 import pytest
@@ -221,3 +222,15 @@ class TestSpecValidation:
     def test_noise_scale_must_be_finite(self, value):
         with pytest.raises(ConfigError):
             DatasetSpec(noise_scale=value).validate()
+
+    def test_counts_stop_at_the_largest_array_numpy_can_index(self):
+        limit = np.iinfo(np.intp).max // 8  # float64s
+        spec = DatasetSpec()
+        fits = limit // spec.record_size
+        DatasetSpec(num_triplets=fits).validate()
+        with pytest.raises(ConfigError, match="too large"):
+            DatasetSpec(num_triplets=fits + 1).validate()
+        concepts = math.isqrt(limit)  # the concepts' Gram matrix is the largest array
+        DatasetSpec(num_concepts=concepts).validate()
+        with pytest.raises(ConfigError, match="too large"):
+            DatasetSpec(num_concepts=concepts + 1).validate()

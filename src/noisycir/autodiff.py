@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError, ShapeError
+from .errors import ConfigError, NumericalError, ShapeError
 
 _NORM_EPS = 1e-12
 
@@ -297,7 +297,7 @@ def softmax_xent_rows(sims: Var, tau: float) -> Var:
     subtracted for stability. Output shape (B, 1).
     """
     if tau <= 0:
-        raise ValueError("temperature must be positive")
+        raise ConfigError("temperature must be positive")
     b = sims.shape[0]
     if sims.shape != (b, b):
         raise ShapeError(f"softmax_xent_rows expects square matrix, got {sims.shape}")

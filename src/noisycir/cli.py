@@ -7,8 +7,8 @@ Exit codes are a stable contract:
     4 numerical failure (a non-finite loss, a failed gradient check, or a
     degenerate split).
 All outputs are written atomically (temp file + rename) so a failing
-command never leaves a partial artifact behind; train and ablate create
-their --out directory only once training has succeeded.
+command never leaves a partial artifact behind. An unusable --out exits 2
+before any work; train and ablate create --out once training has succeeded.
 """
 
 from __future__ import annotations
@@ -51,7 +51,27 @@ def _csv(rows: list[dict], columns: list[str]) -> str:
     return "".join(",".join(line) + "\n" for line in lines)
 
 
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
+def _check_out(args) -> None:
+    """Refuse an --out the command could not write, creating nothing: the
+    directory of generate's file must exist, and the nearest existing
+    ancestor of train's and ablate's directory must be a directory."""
+    out = args.out
+    if args.command == "generate":
+        if os.path.isdir(out):
+            raise OSError(f"--out {out} is a directory")
+        where = os.path.dirname(out)
+    else:
+        where = out
+        while where and not os.path.exists(where):
+            where = os.path.dirname(where)
+    if not os.path.isdir(where or "."):
+        raise OSError(f"--out {out}: {where} is not a directory")
+
+
+def _load_config(args) -> RunConfig:
+    """--config with --seed and --variant applied, once --out is checked."""
+    cfg = load_run_config(args.config)
+    _check_out(args)
     train = cfg.train
     dataset = cfg.dataset
     if getattr(args, "seed", None) is not None:
@@ -63,7 +83,7 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
 
 
 def cmd_generate(args) -> int:
-    cfg = _apply_overrides(load_run_config(args.config), args)
+    cfg = _load_config(args)
     samples = generate_dataset(cfg.dataset)
     write_dataset(samples, cfg.dataset, args.out)
     counts = np.bincount(samples.truth_codes.astype(np.intp), minlength=len(TRUTHS))
@@ -98,7 +118,7 @@ def _small_eval_notes(n_eval: int) -> list[str]:
 
 
 def cmd_train(args) -> int:
-    cfg = _apply_overrides(load_run_config(args.config), args)
+    cfg = _load_config(args)
     samples, spec = read_dataset(args.dataset)
     cfg = dataclasses.replace(cfg, dataset=spec)  # record the data trained on
 
@@ -140,7 +160,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg = _apply_overrides(load_run_config(args.config), args)
+    cfg = _load_config(args)
     samples, _spec = read_dataset(args.dataset)
     rows = run_ablation(samples, cfg.train)
     # every variant trains on the same split

@@ -1,7 +1,8 @@
 """Run configuration: one JSON file describing dataset and training knobs.
 
-The schema is strict: unknown keys are rejected so a typo cannot silently
-fall back to a default. Missing keys take the documented defaults.
+The schema is strict: the root and each section must be a JSON object, and
+unknown keys are rejected so a typo cannot silently fall back to a default.
+Missing keys take the documented defaults.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from .errors import ConfigError, parse_json
 from .synth import DatasetSpec
 from .trainer import TrainConfig
 
-_SECTIONS = ("dataset", "train")
+_SECTIONS = {"dataset": DatasetSpec, "train": TrainConfig}
 
 
 @dataclass(frozen=True)
@@ -22,34 +23,24 @@ class RunConfig:
     train: TrainConfig
 
 
-def _build_section(cls, raw: dict, section: str):
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(
-            f"unknown key(s) in '{section}' section: {sorted(unknown)}")
-    return cls(**raw)
-
-
-def run_config_from_dict(raw: dict) -> RunConfig:
+def _object(raw, known, what: str) -> dict:
+    """raw, if it is a JSON object whose keys are all in known."""
     if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    unknown = set(raw) - set(_SECTIONS)
+        raise ConfigError(f"{what} must be a JSON object")
+    unknown = set(raw) - set(known)
     if unknown:
-        raise ConfigError(f"unknown top-level section(s): {sorted(unknown)}")
-    cfg = RunConfig(
-        dataset=_build_section(DatasetSpec, raw.get("dataset", {}), "dataset"),
-        train=_build_section(TrainConfig, raw.get("train", {}), "train"),
-    )
-    cfg.dataset.validate()
-    cfg.train.validate()
-    return cfg
+        raise ConfigError(f"unknown key(s) in {what}: {sorted(unknown)}")
+    return raw
 
 
 def load_run_config(path: str) -> RunConfig:
     with open(path, "rb") as fh:
-        raw = parse_json(fh.read(), ConfigError, "config is not valid JSON")
-    try:
-        return run_config_from_dict(raw)
-    except TypeError as exc:
-        raise ConfigError(f"bad config value: {exc}") from exc
+        raw = _object(parse_json(fh.read(), ConfigError, "config is not valid JSON"),
+                      _SECTIONS, "config root")
+    cfg = RunConfig(**{
+        name: cls(**_object(raw.get(name, {}), [f.name for f in dataclasses.fields(cls)],
+                            f"'{name}' section"))
+        for name, cls in _SECTIONS.items()})
+    cfg.dataset.validate()
+    cfg.train.validate()
+    return cfg

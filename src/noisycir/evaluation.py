@@ -40,7 +40,6 @@ class FilterScore:
     precision: float
     recall: float
     f1: float
-    precision_defined: bool = True
 
 
 def evaluate_filter(labels: np.ndarray, noisy_truth: np.ndarray) -> FilterScore:
@@ -53,9 +52,7 @@ def evaluate_filter(labels: np.ndarray, noisy_truth: np.ndarray) -> FilterScore:
     tp = int((predicted & truth).sum())
     fp = int((predicted & ~truth).sum())
     fn = int((~predicted & truth).sum())
-    defined = (tp + fp) > 0
-    precision = tp / (tp + fp) if defined else 0.0
+    precision = tp / (tp + fp) if (tp + fp) > 0 else 0.0
     recall = tp / (tp + fn) if (tp + fn) > 0 else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    return FilterScore(precision=precision, recall=recall, f1=f1,
-                       precision_defined=defined)
+    return FilterScore(precision=precision, recall=recall, f1=f1)

@@ -5,6 +5,9 @@ one fusion MLP per view (plain global tokens vs weight-compensated). The
 per-sample loss is temperature-scaled softmax cross-entropy over in-batch
 cosine similarities, and the training objective (masked_loss) is the sum of
 the label-masked means of the enabled views' loss vectors.
+The autodiff ops check a positive temperature, a square similarity matrix
+and one label per row; fusion checks only the view, equal text and image
+shapes and a batch of at least 2 pairs.
 """
 
 from __future__ import annotations
@@ -34,13 +37,8 @@ def fuse_query(text_emb: Var, image_emb: Var, store: ParamStore, view: str) -> V
 
 def nce_per_sample(queries: Var, targets: Var, tau: float) -> Var:
     """Per-sample contrastive loss column (B, 1) over in-batch negatives."""
-    if tau <= 0:
-        raise ConfigError("temperature must be positive")
-    b = queries.shape[0]
-    if b < 2:
+    if queries.shape[0] < 2:
         raise ShapeError("need a batch of at least 2 pairs")
-    if targets.shape[0] != b:
-        raise ShapeError("queries and targets disagree on batch size")
     sims = ad.cosine_matrix(queries, targets)
     return ad.softmax_xent_rows(sims, tau)
 
@@ -48,10 +46,6 @@ def nce_per_sample(queries: Var, targets: Var, tau: float) -> Var:
 def soft_nce_loss(queries: Var, targets: Var, queries_wcb: Var, targets_wcb: Var,
                   labels: np.ndarray, tau: float) -> Var:
     """Label-masked mean of the two views' per-sample losses (scalar Var)."""
-    labels = np.asarray(labels, dtype=np.float64).reshape(-1)
-    b = queries.shape[0]
-    if labels.shape[0] != b:
-        raise ShapeError(f"{labels.shape[0]} labels for batch of {b}")
     return masked_loss([nce_per_sample(queries, targets, tau),
                         nce_per_sample(queries_wcb, targets_wcb, tau)], labels)
 

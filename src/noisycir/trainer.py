@@ -36,6 +36,10 @@ from .wcb import IMAGE_MLP, TEXT_MLP, compensate_batch
 
 RECALL_KS = (1, 10, 50)
 
+_BETA1 = 0.9    # Adam's first-moment decay
+_BETA2 = 0.999  # Adam's second-moment decay
+_EPS = 1e-8     # Adam's denominator floor
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -48,9 +52,6 @@ class TrainConfig:
     filter_scope: str = "epoch"       # "epoch" | "batch"
     warmup_epochs: int = 3
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     enable_wcb: bool = True
     enable_nfb: bool = True
     eval_fraction: float = 0.2
@@ -117,10 +118,8 @@ class Adam:
     store's flat parameter buffer, so one step is one vectorised update.
     """
 
-    def __init__(self, store: ParamStore, lr_by_group: dict[str, float],
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, store: ParamStore, lr_by_group: dict[str, float]):
         self.store = store
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = np.zeros_like(store.flat_params)
         self.v = np.zeros_like(store.flat_params)
@@ -130,7 +129,7 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = _BETA1, _BETA2
         g = self.store.flat_grads
         self.m *= b1
         self.m += (1 - b1) * g
@@ -141,7 +140,7 @@ class Adam:
         # p -= lr * mhat / (sqrt(vhat) + eps), evaluated in place in that order
         mhat *= self.lr
         np.sqrt(vhat, out=vhat)
-        vhat += self.eps
+        vhat += _EPS
         mhat /= vhat
         self.store.flat_params -= mhat
         self.store.zero_grads()
@@ -330,10 +329,7 @@ def train_epoch(store: ParamStore, optimizer: Adam, samples: Dataset,
 def run_training(samples: Dataset, config: TrainConfig) -> TrainResult:
     config.validate()
     store = init_params(samples.spec.dim, config.seed)
-    optimizer = Adam(store,
-                     lr_by_group={"wcb": config.lr_wcb, "other": config.lr_other},
-                     beta1=config.adam_beta1, beta2=config.adam_beta2,
-                     eps=config.adam_eps)
+    optimizer = Adam(store, {"wcb": config.lr_wcb, "other": config.lr_other})
     train_idx, eval_idx = split_dataset(samples, config)
     records: list[MetricsRecord] = []
     filter_rows: list[FilterReportRow] = []

@@ -7,7 +7,7 @@ import pytest
 from noisycir import autodiff as ad
 from noisycir import cli
 from noisycir.autodiff import ParamStore, Tape, Var
-from noisycir.errors import ShapeError
+from noisycir.errors import ConfigError, ShapeError
 from noisycir.storage import read_weights, write_weights
 from tests import oracles
 
@@ -555,6 +555,13 @@ def test_const_makes_2d_float64_leaves():
     for bad in (np.ones(3), np.ones((2, 2, 2))):
         with pytest.raises(ShapeError):
             tape.const(bad)
+
+
+def test_softmax_xent_rows_refuses_a_nonpositive_temperature():
+    sims = Tape().const(np.eye(3))
+    for tau in (0.0, -0.1):
+        with pytest.raises(ConfigError, match="temperature must be positive"):
+            ad.softmax_xent_rows(sims, tau)
 
 
 class TestMlpAppliedTwice:

@@ -6,7 +6,7 @@ import re
 import pytest
 
 from noisycir import autodiff as ad
-from noisycir import synth
+from noisycir import cli, synth
 from noisycir.cli import (EXIT_DATA, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
                           EXIT_USAGE, _atomic_write_text, main)
 from tests.test_storage import rewrite_header, rewrite_record
@@ -549,3 +549,56 @@ def test_report_on_malformed_run_files_exits_3_without_traceback(tmp_path, capsy
     (run / "run_meta.json").write_bytes(meta)
     assert main(["report", "--out", str(run)]) == EXIT_DATA
     assert _assert_one_line_error(capsys, "data error: ").out == ""
+
+
+@pytest.mark.parametrize("raw, message", [
+    ([], "config root must be a JSON object"),
+    ({"model": {}}, "unknown key(s) in config root: ['model']"),
+    ({"train": {"lr": 0.1}}, "unknown key(s) in 'train' section: ['lr']"),
+    ({"dataset": {"dimension": 8}}, "unknown key(s) in 'dataset' section: ['dimension']"),
+    *[({"train": {key: value}}, f"unknown key(s) in 'train' section: ['{key}']")
+      for key, value in (("adam_beta1", 0.9), ("adam_beta2", 0.999), ("adam_eps", 1e-8))],
+    ({"dataset": "ab"}, "'dataset' section must be a JSON object"),
+    ({"train": 5}, "'train' section must be a JSON object"),
+    ({"train": []}, "'train' section must be a JSON object"),
+    ({"dataset": None}, "'dataset' section must be a JSON object"),
+], ids=["root-list", "top-level", "train-key", "dataset-key", "adam_beta1", "adam_beta2",
+        "adam_eps", "section-str", "section-int", "section-list", "section-null"])
+def test_config_outside_the_schema_exits_1_without_traceback(tmp_path, capsys, raw,
+                                                            message):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "d.ncld"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    assert _assert_one_line_error(capsys, "config error: ").err \
+        == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, out", [
+    ("train", "afile/run"),
+    ("ablate", "afile/run"),
+    ("train", "afile"),
+    ("generate", "nodir/d.ncld"),
+    ("generate", "afile/d.ncld"),
+    ("generate", "adir"),
+], ids=["train-under-file", "ablate-under-file", "train-onto-file",
+        "generate-no-dir", "generate-under-file", "generate-onto-dir"])
+def test_unusable_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                              config_path, command, out):
+    def no_work(*args, **kwargs):
+        raise AssertionError("--out should have been refused first")
+
+    for name in ("read_dataset", "generate_dataset", "run_training", "run_ablation"):
+        monkeypatch.setattr(cli, name, no_work)
+    (tmp_path / "afile").write_bytes(b"x")
+    (tmp_path / "adir").mkdir()
+    before = sorted(p.name for p in tmp_path.rglob("*"))
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--config", config_path, "--out", out]
+    if command != "generate":
+        argv += ["--dataset", "data.ncld"]
+    assert main(argv) == EXIT_IO
+    err = _assert_one_line_error(capsys, "i/o error: ").err
+    assert f"--out {out}" in err and ".tmp-" not in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == before

@@ -122,7 +122,7 @@ class TestEvaluateFilter:
     def test_null_filter_flags_nothing(self):
         truth = np.array([True, False, True])
         score = evaluate_filter(np.ones(3), truth)
-        assert not score.precision_defined
+        assert score.precision == 0.0
         assert score.recall == 0.0
         assert score.f1 == 0.0
 

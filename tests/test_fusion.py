@@ -177,6 +177,14 @@ class TestNcePerSample:
         with pytest.raises(ShapeError):
             nce_per_sample(tape.const(np.ones((1, 3))),
                            tape.const(np.ones((1, 3))), 0.07)
+        # the ops check the rest: softmax_xent_rows wants a square matrix,
+        # masked_mean one label per row
+        rng = np.random.default_rng(0)
+        with pytest.raises(ShapeError):
+            nce_per_sample(q, tape.const(rng.uniform(-1, 1, (3, 3))), 0.07)
+        rows = [tape.const(rng.uniform(-1, 1, (3, 3))) for _ in range(4)]
+        with pytest.raises(ShapeError):
+            soft_nce_loss(*rows, np.ones(2), 0.07)
 
     def test_no_overflow_at_low_temperature(self):
         tape = Tape()

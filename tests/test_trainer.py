@@ -40,7 +40,6 @@ class TestConfigValidation:
         {"seed": False},
         {"lr_wcb": float("nan")},
         {"lr_other": float("inf")},
-        {"adam_eps": float("nan")},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):

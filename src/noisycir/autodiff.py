@@ -6,6 +6,11 @@ float64 array; every other Var is an op's output. Ops record a backward
 closure; Tape.backward replays them in reverse recording order.
 Single-threaded per tape by design.
 
+A const is data: it has no gradient and is not on the tape's node list,
+backward closures skip the arithmetic that would feed it, and an op on
+data alone yields data and records no closure. Gradients start at the
+parameters that mlp_forward reads from a ParamStore.
+
 A forward pass computes values only. Gradient buffers are allocated by
 Tape.backward, and work that only the gradient needs (argmax routing, ReLU
 masks, softmax probabilities) runs inside the backward closures, so a tape
@@ -66,16 +71,18 @@ def _fault(op_name: str, g: np.ndarray) -> np.ndarray:
 
 
 class Var:
-    """A matrix value plus its gradient slot on a tape (None until backward)."""
+    """A matrix value plus its gradient slot on a tape (None until backward, and for data)."""
 
-    __slots__ = ("value", "grad", "tape", "_backward")
+    __slots__ = ("value", "grad", "tape", "_backward", "data")
 
-    def __init__(self, tape: "Tape", value: np.ndarray):
+    def __init__(self, tape: "Tape", value: np.ndarray, data: bool = False):
         self.value = value
         self.grad = None
         self.tape = tape
         self._backward = None
-        tape._nodes.append(self)
+        self.data = data
+        if not data:
+            tape._nodes.append(self)
 
     @property
     def shape(self):
@@ -102,11 +109,11 @@ class Tape:
         self._nodes.clear()
 
     def const(self, value) -> Var:
-        """A leaf holding value as a C-contiguous 2-D float64 array."""
+        """A data leaf holding value as a C-contiguous 2-D float64 array."""
         value = np.ascontiguousarray(value, dtype=np.float64)
         if value.ndim != 2:
             raise ShapeError(f"Var must be 2-D, got shape {value.shape}")
-        return Var(self, value)
+        return Var(self, value, data=True)
 
     def backward(self, loss: Var) -> None:
         """Replay the tape; mlp_forward nodes add into their stores."""
@@ -116,6 +123,8 @@ class Tape:
             raise ShapeError("backward requires a scalar loss")
         for node in self._nodes:
             node.grad = np.zeros(node.value.shape)
+        if loss.data:  # a loss of data alone: every gradient is zero
+            return
         loss.grad[...] = 1.0
         for node in reversed(self._nodes):
             if node._backward is not None:
@@ -205,20 +214,26 @@ def _same_tape(*vars_: Var) -> Tape:
     return tape
 
 
+def _record(out: Var, bw) -> Var:
+    """Attach bw as out's backward, unless out is data: an op on data alone."""
+    if not out.data:
+        out._backward = bw
+    return out
+
+
 def add(a: Var, b: Var) -> Var:
     """Elementwise add of two matrices of one shape."""
-    tape = _same_tape(a, b)
     if a.shape != b.shape:
         raise ShapeError(f"add {a.shape} + {b.shape}")
-    out = Var(tape, a.value + b.value)
+    out = Var(_same_tape(a, b), a.value + b.value, a.data and b.data)
 
     def bw():
         g = _fault("add", out.grad)
-        a.grad += g
-        b.grad += g
+        for v in (a, b):
+            if not v.data:
+                v.grad += g
 
-    out._backward = bw
-    return out
+    return _record(out, bw)
 
 
 def maxpool_segments(a: Var, n_segments: int) -> Var:
@@ -231,7 +246,7 @@ def maxpool_segments(a: Var, n_segments: int) -> Var:
         raise ShapeError(f"{rows} rows not divisible into {n_segments} segments")
     seg = rows // n_segments
     v = a.value.reshape(n_segments, seg, cols)
-    out = Var(a.tape, v.max(axis=1))
+    out = Var(a.tape, v.max(axis=1), a.data)
 
     def bw():
         g = _fault("maxpool_segments", out.grad)
@@ -240,54 +255,52 @@ def maxpool_segments(a: Var, n_segments: int) -> Var:
         # Each (row, column) pair occurs once, so a plain scatter-add suffices.
         a.grad[row_idx, np.arange(cols)] += g
 
-    out._backward = bw
-    return out
+    return _record(out, bw)
 
 
 def concat_cols(a: Var, b: Var) -> Var:
-    tape = _same_tape(a, b)
     if a.shape[0] != b.shape[0]:
         raise ShapeError(f"concat_cols {a.shape} | {b.shape}")
     na = a.shape[1]
-    out = Var(tape, np.concatenate([a.value, b.value], axis=1))
+    out = Var(_same_tape(a, b), np.concatenate([a.value, b.value], axis=1),
+              a.data and b.data)
 
     def bw():
         g = _fault("concat_cols", out.grad)
-        a.grad += g[:, :na]
-        b.grad += g[:, na:]
+        for v, part in ((a, g[:, :na]), (b, g[:, na:])):
+            if not v.data:
+                v.grad += part
 
-    out._backward = bw
-    return out
+    return _record(out, bw)
 
 
 def slice_rows(a: Var, start: int, stop: int) -> Var:
-    out = Var(a.tape, a.value[start:stop])
+    out = Var(a.tape, a.value[start:stop], a.data)
 
     def bw():
         a.grad[start:stop] += _fault("slice_rows", out.grad)
 
-    out._backward = bw
-    return out
+    return _record(out, bw)
 
 
 def cosine_matrix(q: Var, t: Var) -> Var:
     """All-pairs cosine similarities: out[i, j] = cos(q_i, t_j)."""
-    tape = _same_tape(q, t)
     if q.shape[1] != t.shape[1]:
         raise ShapeError(f"cosine_matrix widths {q.shape} vs {t.shape}")
     sims, (qh, qn), (th, tn) = cosine_values(q.value, t.value)
-    out = Var(tape, sims)
+    out = Var(_same_tape(q, t), sims, q.data and t.data)
 
     def bw():
         g = _fault("cosine_matrix", out.grad)
-        dqh = g @ th
-        dth = g.T @ qh
         # a clamped row maps as x / eps, which has no tangent projection
-        q.grad += (dqh - (qn > _NORM_EPS) * (dqh * qh).sum(axis=1, keepdims=True) * qh) / qn
-        t.grad += (dth - (tn > _NORM_EPS) * (dth * th).sum(axis=1, keepdims=True) * th) / tn
+        if not q.data:
+            dqh = g @ th
+            q.grad += (dqh - (qn > _NORM_EPS) * (dqh * qh).sum(axis=1, keepdims=True) * qh) / qn
+        if not t.data:
+            dth = g.T @ qh
+            t.grad += (dth - (tn > _NORM_EPS) * (dth * th).sum(axis=1, keepdims=True) * th) / tn
 
-    out._backward = bw
-    return out
+    return _record(out, bw)
 
 
 def softmax_xent_rows(sims: Var, tau: float) -> Var:
@@ -302,15 +315,14 @@ def softmax_xent_rows(sims: Var, tau: float) -> Var:
     if sims.shape != (b, b):
         raise ShapeError(f"softmax_xent_rows expects square matrix, got {sims.shape}")
     losses, e, s = xent_values(sims.value, tau)
-    out = Var(sims.tape, losses)
+    out = Var(sims.tape, losses, sims.data)
 
     def bw():
         g = _fault("softmax_xent_rows", out.grad)
         d = e / s - np.eye(b)
         sims.grad += g * d / tau
 
-    out._backward = bw
-    return out
+    return _record(out, bw)
 
 
 def masked_mean(v: Var, weights: np.ndarray) -> Var:
@@ -319,14 +331,13 @@ def masked_mean(v: Var, weights: np.ndarray) -> Var:
     b = v.shape[0]
     if v.shape[1] != 1 or w.shape[0] != b:
         raise ShapeError(f"masked_mean on shape {v.shape} with {w.shape[0]} weights")
-    out = Var(v.tape, np.array([[float(v.value[:, 0] @ w) / b]]))
+    out = Var(v.tape, np.array([[float(v.value[:, 0] @ w) / b]]), v.data)
 
     def bw():
         g = _fault("masked_mean", out.grad[0, 0])
         v.grad[:, 0] += g * w / b
 
-    out._backward = bw
-    return out
+    return _record(out, bw)
 
 
 def mlp_forward(x: Var, store: ParamStore, name: str) -> Var:
@@ -339,8 +350,11 @@ def mlp_forward(x: Var, store: ParamStore, name: str) -> Var:
     gw1, gb1, gw2, gb2 = (store.grads[f"{name}.{p}"] for p in ("W1", "b1", "W2", "b2"))
     if x.shape[1] != w1.shape[0]:
         raise ShapeError(f"MLP {name}: input width {x.shape[1]} != {w1.shape[0]}")
-    h = np.maximum(x.value @ w1 + b1, 0.0)
-    out = Var(x.tape, h @ w2 + b2)
+    h = x.value @ w1
+    np.maximum(np.add(h, b1, out=h), 0.0, out=h)  # bias and ReLU in place
+    y = h @ w2
+    y += b2
+    out = Var(x.tape, y)  # never data: the parameters take gradients
 
     def bw():
         g = _fault("mlp_forward", out.grad)
@@ -348,7 +362,8 @@ def mlp_forward(x: Var, store: ParamStore, name: str) -> Var:
         gw2[...] += h.T @ g
         g = (g @ w2.T) * (h > 0.0)
         gb1[...] += g.sum(axis=0, keepdims=True)
-        x.grad += g @ w1.T
+        if not x.data:
+            x.grad += g @ w1.T
         gw1[...] += x.value.T @ g
 
     out._backward = bw

@@ -12,9 +12,10 @@ is evaluated on a clean holdout; filter quality against the synthetic
 ground-truth noise flags.
 
 A batch's embeddings are a list of (query, target) pairs, one per enabled
-view. Every tape is freed when its step or no-grad chunk ends; the
-epoch-scope loss pass then computes all full chunks' losses in one stacked
-call.
+view. Its tokens enter the tape as data leaves, so a step computes
+gradients for the parameters only. Every tape is freed when its step or
+no-grad chunk ends; the epoch-scope loss pass then computes all full
+chunks' losses in one stacked call.
 """
 
 from __future__ import annotations

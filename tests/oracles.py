@@ -34,6 +34,11 @@ np.percentile start, a GmmParams updated in place, and the log joint
 exponentiated once for the log-likelihood and again for the
 responsibilities. Its log joint is its own, _log_joint, not the package's.
 
+leaf is a differentiable leaf, which Tape.const no longer makes, and
+DifferentiableTape a tape whose const makes one, as every const did before
+consts became data; step_grads is one training step's parameter gradients
+on a given tape.
+
 grad_check is the gradient check as it ran before it compared two flat
 vectors: a walk over the store name by name and entry by entry, with
 running maxima. Python's max keeps its first operand when the second is
@@ -51,22 +56,33 @@ from noisycir.autodiff import (_ABS_FLOOR, _ABS_TOL, _NORM_EPS, _STEP, _TOL, Gra
                                ParamStore, Tape, Var, _fault, _same_tape)
 from noisycir.errors import NumericalError, ShapeError
 from noisycir.evaluation import recall_from_similarity
-from noisycir.fusion import nce_per_sample
+from noisycir.fusion import masked_loss, nce_per_sample
 from noisycir.synth import (_DISTRACTOR_RAW, TRUTH_CLEAN, TRUTH_MISMATCHED,
                             TRUTH_PARTIAL, DatasetSpec, TokenBundle,
                             TripletSample, make_concepts)
 
 
+def leaf(tape: Tape, value) -> Var:
+    """A differentiable leaf holding value as a 2-D float64 array."""
+    return Var(tape, Tape.const(tape, value).value)
+
+
 def param(tape: Tape, store: ParamStore, name: str) -> Var:
     """Leaf holding store.params[name]; backward adds its gradient into the store."""
-    sink = tape.const(np.zeros((1, 1)))
-    leaf = tape.const(store.params[name])
+    sink = leaf(tape, np.zeros((1, 1)))
+    out = leaf(tape, store.params[name])
 
     def bw():
-        store.grads[name] += leaf.grad
+        store.grads[name] += out.grad
 
     sink._backward = bw
-    return leaf
+    return out
+
+
+def _add_grad(v: Var, g) -> None:
+    """Add g into v's gradient; data takes none."""
+    if not v.data:
+        v.grad += g
 
 
 def add_bias(a: Var, bias: Var) -> Var:
@@ -78,8 +94,8 @@ def add_bias(a: Var, bias: Var) -> Var:
 
     def bw():
         g = _fault("add", out.grad)
-        a.grad += g
-        bias.grad += g.sum(axis=0, keepdims=True)
+        _add_grad(a, g)
+        _add_grad(bias, g.sum(axis=0, keepdims=True))
 
     out._backward = bw
     return out
@@ -93,8 +109,8 @@ def matmul(a: Var, b: Var) -> Var:
 
     def bw():
         g = _fault("matmul", out.grad)
-        a.grad += g @ b.value.T
-        b.grad += a.value.T @ g
+        _add_grad(a, g @ b.value.T)
+        _add_grad(b, a.value.T @ g)
 
     out._backward = bw
     return out
@@ -104,7 +120,7 @@ def relu(a: Var) -> Var:
     out = Var(a.tape, np.maximum(a.value, 0.0))
 
     def bw():
-        a.grad += _fault("relu", out.grad) * (a.value > 0.0)
+        _add_grad(a, _fault("relu", out.grad) * (a.value > 0.0))
 
     out._backward = bw
     return out
@@ -118,8 +134,8 @@ def emul(a: Var, b: Var) -> Var:
 
     def bw():
         g = _fault("emul", out.grad)
-        a.grad += g * b.value
-        b.grad += g * a.value
+        _add_grad(a, g * b.value)
+        _add_grad(b, g * a.value)
 
     out._backward = bw
     return out
@@ -135,7 +151,8 @@ def maxpool_rows(a: Var) -> Var:
 
     def bw():
         g = _fault("maxpool_rows", out.grad)
-        np.add.at(a.grad, (idx, cols), g[0])
+        if not a.data:
+            np.add.at(a.grad, (idx, cols), g[0])
 
     out._backward = bw
     return out
@@ -145,7 +162,7 @@ def vsum(a: Var) -> Var:
     out = Var(a.tape, np.array([[a.value.sum()]]))
 
     def bw():
-        a.grad += _fault("vsum", out.grad[0, 0])
+        _add_grad(a, _fault("vsum", out.grad[0, 0]))
 
     out._backward = bw
     return out
@@ -164,8 +181,8 @@ def cosine(u: Var, v: Var) -> Var:
 
     def bw():
         g = _fault("cosine", out.grad[0, 0])
-        u.grad += g * (v.value / (nu * nv) - (nu > _NORM_EPS) * c * u.value / (nu * nu))
-        v.grad += g * (u.value / (nu * nv) - (nv > _NORM_EPS) * c * v.value / (nv * nv))
+        _add_grad(u, g * (v.value / (nu * nv) - (nu > _NORM_EPS) * c * u.value / (nu * nu)))
+        _add_grad(v, g * (u.value / (nu * nv) - (nv > _NORM_EPS) * c * v.value / (nv * nv)))
 
     out._backward = bw
     return out
@@ -201,6 +218,23 @@ def taped_epoch_losses(store, samples, train_idx, config) -> list[np.ndarray]:
         per_chunk.append([nce_per_sample(q, t, config.temperature).value[:, 0]
                           for q, t in views])
     return [np.concatenate(view) for view in zip(*per_chunk)]
+
+
+class DifferentiableTape(Tape):
+    """A tape whose const makes a differentiable leaf."""
+
+    def const(self, value) -> Var:
+        return leaf(self, value)
+
+
+def step_grads(tape: Tape, store: ParamStore, batch, labels: np.ndarray,
+               tau: float) -> np.ndarray:
+    """store.flat_grads after the backward of one training step's loss on tape."""
+    store.zero_grads()
+    with tape:
+        views = trainer.forward_batch(tape, store, batch, enable_wcb=True)
+        tape.backward(masked_loss([nce_per_sample(q, t, tau) for q, t in views], labels))
+    return store.flat_grads.copy()
 
 
 def _attention(n_rows: int, informative: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -229,7 +229,7 @@ class TestMaxpoolRows:
 
     def test_tie_routes_to_lowest_row(self):
         tape = Tape()
-        x = tape.const([[2.0, 1.0], [2.0, 0.0]])
+        x = oracles.leaf(tape, [[2.0, 1.0], [2.0, 0.0]])
         out = oracles.maxpool_rows(x)
         loss = oracles.vsum(out)
         tape.backward(loss)
@@ -258,7 +258,7 @@ class TestMaxpoolRows:
 
     def test_segments_tie_routes_to_lowest_row(self):
         tape = Tape()
-        x = tape.const([[2.0, 1.0], [2.0, 0.0], [0.0, 4.0], [3.0, 4.0]])
+        x = oracles.leaf(tape, [[2.0, 1.0], [2.0, 0.0], [0.0, 4.0], [3.0, 4.0]])
         out = ad.maxpool_segments(x, 2)
         assert out.value.tolist() == [[2.0, 1.0], [3.0, 4.0]]
         tape.backward(oracles.vsum(out))
@@ -613,7 +613,7 @@ def _mlp_case():
 def _mlp_value_and_grads(mlp, store, x, weights):
     store.zero_grads()
     tape = Tape()
-    xv = tape.const(x)
+    xv = oracles.leaf(tape, x)
     out = mlp(oracles.relu(xv), store, "m")
     tape.backward(oracles.vsum(oracles.emul(out, tape.const(weights))))
     return out.value, xv.grad, {k: v.copy() for k, v in store.grads.items()}
@@ -642,7 +642,7 @@ class TestFusedMlp:
     def test_records_only_its_input_and_output(self):
         store, x, _ = _mlp_case()
         tape = Tape()
-        ad.mlp_forward(tape.const(x), store, "m")
+        ad.mlp_forward(oracles.leaf(tape, x), store, "m")
         assert len(tape._nodes) == 2
 
 
@@ -652,7 +652,7 @@ class TestMaxpoolSegmentsScatter:
         x = rng.integers(-2, 3, (12, 5)).astype(float)  # small ints: many ties
         upstream = rng.uniform(-1, 1, (3, 5))
         tape = Tape()
-        xv = tape.const(x)
+        xv = oracles.leaf(tape, x)
         out = ad.maxpool_segments(xv, 3)
         tape.backward(oracles.vsum(oracles.emul(out, tape.const(upstream))))
 
@@ -746,3 +746,39 @@ class TestValueMath:
         else:
             keep[3, :, 2] = False
         assert np.array_equal(after[0][keep], before[0][keep])
+
+
+class TestDataLeaves:
+    def test_data_leaf_takes_no_gradient_and_is_not_a_node(self):
+        tape = Tape()
+        x = tape.const(np.ones((2, 3)))
+        w = oracles.leaf(tape, np.full((2, 3), 2.0))
+        out = ad.add(x, w)
+        assert x.data and not w.data and not out.data
+        assert x not in tape._nodes
+        tape.backward(oracles.vsum(out))
+        assert x.grad is None
+        assert w.grad.tolist() == [[1.0] * 3] * 2
+
+    @pytest.mark.parametrize("op", [
+        lambda a, b: ad.add(a, b),
+        lambda a, b: ad.concat_cols(a, b),
+        lambda a, b: ad.cosine_matrix(a, b),
+        lambda a, b: ad.slice_rows(a, 0, 1),
+        lambda a, b: ad.maxpool_segments(a, 2),
+        lambda a, b: ad.masked_mean(ad.softmax_xent_rows(ad.cosine_matrix(a, b), 0.1),
+                                    [1.0, 1.0]),
+    ])
+    def test_op_on_data_alone_records_nothing(self, op):
+        tape = Tape()
+        a, b = (tape.const(np.arange(6.0).reshape(2, 3) + k) for k in (0, 1))
+        out = op(a, b)
+        assert out.data and out._backward is None and out.grad is None
+        assert tape._nodes == []
+
+    def test_loss_on_data_alone_leaves_zero_gradients(self):
+        tape = Tape()
+        w = oracles.leaf(tape, [[3.0]])
+        loss = ad.add(tape.const([[1.0]]), tape.const([[2.0]]))
+        tape.backward(loss)
+        assert loss.grad is None and w.grad.tolist() == [[0.0]]

@@ -2,6 +2,9 @@ import inspect
 import json
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -602,3 +605,29 @@ def test_unusable_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
     err = _assert_one_line_error(capsys, "i/o error: ").err
     assert f"--out {out}" in err and ".tmp-" not in err
     assert sorted(p.name for p in tmp_path.rglob("*")) == before
+
+
+def _run_module(module, *args):
+    """python -m module args, importing noisycir from the tree under test."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-m", module, *args], env=env,
+                          capture_output=True, text=True, timeout=120, check=False)
+
+
+@pytest.mark.parametrize("module", ["noisycir", "noisycir.cli"])
+def test_python_dash_m_runs_the_cli(tmp_path, module):
+    out = tmp_path / "x.ncld"
+    proc = _run_module(module, "generate", "--config", str(tmp_path / "missing.json"),
+                       "--out", str(out))
+    assert proc.returncode == EXIT_IO
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("i/o error: ")
+    assert not out.exists()
+
+
+def test_python_dash_m_gradcheck_passes():
+    proc = _run_module("noisycir", "gradcheck")
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "PASS" in proc.stdout

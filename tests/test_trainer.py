@@ -369,6 +369,30 @@ class TestNoGradPasses:
             assert np.array_equal(g, w)
 
 
+class TestDataLeaves:
+    def test_step_gradients_equal_all_differentiable_leaves_exactly(self, small_dataset):
+        store = _trained_store(small_dataset)
+        batch = small_dataset[:SMALL_CFG.batch_size]
+        labels = (np.arange(len(batch)) % 3 != 0).astype(float)
+        tau = SMALL_CFG.temperature
+        got = oracles.step_grads(Tape(), store, batch, labels, tau)
+        want = oracles.step_grads(oracles.DifferentiableTape(), store, batch, labels, tau)
+        assert got.any()
+        assert np.array_equal(got, want)
+
+    def test_inputs_are_data_without_gradients_or_closures(self, small_dataset):
+        store = init_params(SMALL_SPEC.dim, 0)
+        with Tape() as tape:
+            (q, t), (q_wcb, t_wcb) = forward_batch(tape, store, small_dataset[:8],
+                                                   enable_wcb=True)
+            tape.backward(trainer.fusion.soft_nce_loss(q, t, q_wcb, t_wcb, np.ones(8),
+                                                       SMALL_CFG.temperature))
+            assert not any(node.data for node in tape._nodes)
+            assert len(tape._nodes) == 18  # 8 data leaves and ops on them are not nodes
+        assert t.data and t.grad is None and t._backward is None
+        assert not t_wcb.data
+
+
 class TestTapeLifetime:
     @pytest.mark.parametrize("scope", ["epoch", "batch"])
     def test_every_tape_is_freed_without_the_cyclic_collector(

@@ -15,9 +15,12 @@ Every child's exit code, `correct` flag, end-to-end metrics, final
 filter_f1 and recall_at_10 and environment block are kept, with every raw
 pair. Per workload and end-to-end metric the summary gives each side's
 median and quartiles, the winner of each pair, the number of pairs this
-tree won and whether the gap between the medians exceeds the parent's
-interquartile range. With --out the results are written to FILE as JSON;
-workloads already in FILE and not run now are kept.
+tree won, whether the gap between the medians exceeds the parent's
+interquartile range, and whether this tree's median is within the metric's
+no-regression bound: no worse than the parent's by more than the `bound`
+BENCHMARK.json gives it, as a share of the parent's median. With --out the
+results are written to FILE as JSON; workloads already in FILE and not run
+now are kept.
 
 Exits 1 if any child exits non-zero or reports "correct": false.
 """
@@ -34,7 +37,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 _DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in _DECLARED["workloads"]]
-END_TO_END = {m["name"]: m["better"] for m in _DECLARED["end_to_end"]}
+END_TO_END = {m["name"]: m for m in _DECLARED["end_to_end"]}
 CHILD_TIMEOUT_S = 1800
 
 
@@ -72,13 +75,15 @@ def quartiles(values: list[float]) -> dict:
 
 
 def summarize(pairs: list[dict]) -> dict:
-    """Per end-to-end metric: both sides' quartiles and each pair's winner."""
+    """Per end-to-end metric: both sides' quartiles, each pair's winner and
+    whether the tree's median is within the metric's bound."""
     out = {}
-    for name, better in END_TO_END.items():
+    for name, declared in END_TO_END.items():
         if any(name not in p[side]["metrics"] for p in pairs for side in ("parent", "tree")):
             continue
         parent = [p["parent"]["metrics"][name] for p in pairs]
         tree = [p["tree"]["metrics"][name] for p in pairs]
+        better = declared["better"]
         sign = 1 if better == "lower" else -1
         winners = ["tree" if sign * (t - p) < 0 else "parent" if sign * (t - p) > 0 else "tie"
                    for p, t in zip(parent, tree)]
@@ -88,6 +93,9 @@ def summarize(pairs: list[dict]) -> dict:
             "tree_wins": winners.count("tree"), "pairs": len(pairs),
             "median_change": (ts["median"] - ps["median"]) / ps["median"] if ps["median"] else None,
             "gap_exceeds_parent_iqr": sign * (ps["median"] - ts["median"]) > ps["iqr"],
+            "bound": declared["bound"],
+            "within_bound": (sign * (ts["median"] - ps["median"])
+                             <= declared["bound"] * abs(ps["median"])),
         }
     return out
 
@@ -126,7 +134,8 @@ def print_summary(workload: str, result: dict) -> None:
               f"{s['tree']['median']:.4g} [{s['tree']['q1']:.4g}, {s['tree']['q3']:.4g}]"
               f"{'' if change is None else f' ({change:+.1%})'}; tree better in "
               f"{s['tree_wins']} of {s['pairs']} pairs; gap exceeds parent IQR: "
-              f"{s['gap_exceeds_parent_iqr']}")
+              f"{s['gap_exceeds_parent_iqr']}; within the {s['bound']:.0%} bound: "
+              f"{s['within_bound']}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -44,7 +44,7 @@ grad_check must then catch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,7 +132,7 @@ class Tape:
 
 
 class ParamStore:
-    """Named trainable matrices with gradient accumulators and group tags.
+    """Named trainable matrices with gradient accumulators.
 
     Parameters live in one contiguous buffer, flat_params, and gradients in
     flat_grads; params[name] and grads[name] are views into them. Adding a
@@ -143,12 +143,10 @@ class ParamStore:
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
-        self.groups: dict[str, str] = {}
-        self.slices: dict[str, slice] = {}
         self.flat_params = np.zeros(0)
         self.flat_grads = np.zeros(0)
 
-    def add(self, name: str, value: np.ndarray, group: str = "other") -> None:
+    def add(self, name: str, value: np.ndarray) -> None:
         value = np.ascontiguousarray(value, dtype=np.float64)
         if value.ndim != 2:
             raise ShapeError(f"parameter {name} must be 2-D")
@@ -159,20 +157,18 @@ class ParamStore:
         pos = 0
         for n, v in values.items():
             sl = slice(pos, pos + v.size)
-            self.slices[n] = sl
             self.params[n] = self.flat_params[sl].reshape(v.shape)
             self.grads[n] = self.flat_grads[sl].reshape(v.shape)
             pos += v.size
-        self.groups[name] = group
 
     def init_mlp(self, name: str, in_dim: int, hidden: int, out_dim: int,
-                 rng: np.random.Generator, group: str = "other") -> None:
+                 rng: np.random.Generator) -> None:
         """Two-layer perceptron parameters: linear -> ReLU -> linear, He-initialized."""
         s1, s2 = np.sqrt(2.0 / in_dim), np.sqrt(2.0 / hidden)
-        self.add(f"{name}.W1", rng.standard_normal((in_dim, hidden)) * s1, group)
-        self.add(f"{name}.b1", np.zeros((1, hidden)), group)
-        self.add(f"{name}.W2", rng.standard_normal((hidden, out_dim)) * s2, group)
-        self.add(f"{name}.b2", np.zeros((1, out_dim)), group)
+        self.add(f"{name}.W1", rng.standard_normal((in_dim, hidden)) * s1)
+        self.add(f"{name}.b1", np.zeros((1, hidden)))
+        self.add(f"{name}.W2", rng.standard_normal((hidden, out_dim)) * s2)
+        self.add(f"{name}.b2", np.zeros((1, out_dim)))
 
     def zero_grads(self) -> None:
         self.flat_grads.fill(0.0)
@@ -381,7 +377,6 @@ class GradCheckReport:
     max_abs_error: float
     worst_param: str
     n_entries: int
-    group_worst: dict[str, float] = field(default_factory=dict)
 
 
 _STEP = 1e-6       # central-difference step
@@ -427,12 +422,9 @@ def grad_check(f, store: ParamStore) -> GradCheckReport:
     rel = np.where(absolute, 0.0, err)  # a relative error is never 0
     max_rel = float(rel.max(initial=0.0))
     sizes = [p.size for p in store.params.values()]
-    tags = [store.groups[name] for name in store.params]
-    group = np.repeat(tags, sizes)  # each entry's group
     return GradCheckReport(
         passed=bool(np.all(err <= np.where(absolute, _ABS_TOL, _TOL))),
         max_rel_error=max_rel,
         max_abs_error=float(np.where(absolute, err, 0.0).max(initial=0.0)),
         worst_param=str(np.repeat(list(store.params), sizes)[rel.argmax()]) if max_rel else "",
-        n_entries=err.size,
-        group_worst={g: float(err[group == g].max(initial=0.0)) for g in dict.fromkeys(tags)})
+        n_entries=err.size)

@@ -9,8 +9,8 @@ Datasets use magic "NCLD". Their header is exactly {"kind", "spec",
 Dataset keeps in memory too: tokens then attention for the text, reference and
 target bundles, then [truth code, reference concept, target concept], with
 truth codes indexing synth.TRUTHS. Weight files use magic "NCLW". Their header
-is exactly {"kind", "params", "extra"}, each parameter {"name", "shape",
-"group"}; the payload is the parameters in that order, the store's flat_params,
+is exactly {"kind", "params", "extra"}, each parameter exactly {"name",
+"shape"}; the payload is the parameters in that order, the store's flat_params,
 so offsets follow from the shapes.
 
 Writes stream the header and the payload in chunks (a dataset's are slices of
@@ -170,8 +170,7 @@ def read_dataset(path: str) -> tuple[Dataset, DatasetSpec]:
 
 
 def write_weights(store: ParamStore, path: str, extra: dict | None = None) -> None:
-    params = [{"name": name, "shape": list(store.params[name].shape),
-               "group": store.groups[name]} for name in store.names()]
+    params = [{"name": name, "shape": list(store.params[name].shape)} for name in store.names()]
     header = {"kind": "weights", "params": params, "extra": extra or {}}
     _atomic_write(path, _container(MAGIC_WEIGHTS, header, [store.flat_params]))
 
@@ -185,10 +184,9 @@ def read_weights(path: str) -> ParamStore:
     pos = 0
     for i, e in enumerate(_get(header, "params", list)):
         where = f"parameter {i}"
-        if not isinstance(e, dict) or set(e) != {"name", "shape", "group"}:
+        if not isinstance(e, dict) or set(e) != {"name", "shape"}:
             raise DataFormatError(f"{where}: malformed entry")
         name = _get(e, "name", str, where)
-        group = _get(e, "group", str, where)
         shape = _get(e, "shape", list, where)
         if len(shape) != 2 or any(type(k) is not int or k < 0 for k in shape):
             raise DataFormatError(f"{where}: bad shape {shape!r}")
@@ -197,7 +195,7 @@ def read_weights(path: str) -> ParamStore:
         count = math.prod(shape)
         if pos + count > flat.size:
             raise DataFormatError(f"{where}: shape runs past the payload")
-        store.add(name, flat[pos:pos + count].reshape(shape), group=group)
+        store.add(name, flat[pos:pos + count].reshape(shape))
         pos += count
     if pos * 8 != len(payload):
         raise DataFormatError("payload size disagrees with the parameter shapes")

@@ -7,9 +7,9 @@ it fits one mixture per enabled view, and nfb.build_sets turns the posteriors
 into one accept mask per view; a pair is labelled 1 only when every view
 accepts it, and the filter report counts the matched, mismatched and partial
 pairs from the same masks. The labels, one per sample index, mask the
-contrastive loss, and a grouped-learning-rate Adam step follows. Retrieval
-is evaluated on a clean holdout; filter quality against the synthetic
-ground-truth noise flags.
+contrastive loss, and an Adam step with one learning rate follows.
+Retrieval is evaluated on a clean holdout; filter quality against the
+synthetic ground-truth noise flags.
 
 A batch's embeddings are a list of (query, target) pairs, one per enabled
 view. Its tokens enter the tape as data leaves, so a step computes
@@ -46,8 +46,7 @@ _EPS = 1e-8     # Adam's denominator floor
 class TrainConfig:
     batch_size: int = 16
     epochs: int = 20
-    lr_wcb: float = 1e-3
-    lr_other: float = 1e-3
+    lr: float = 1e-3
     temperature: float = fusion.DEFAULT_TEMPERATURE
     theta: float = nfb.DEFAULT_THETA
     filter_scope: str = "epoch"       # "epoch" | "batch"
@@ -63,8 +62,8 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 4")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
-        if min(self.lr_wcb, self.lr_other, self.temperature) <= 0:
-            raise ConfigError("rates and temperature must be > 0")
+        if min(self.lr, self.temperature) <= 0:
+            raise ConfigError("lr and temperature must be > 0")
         if not (0.0 < self.theta < 1.0):
             raise ConfigError("theta must lie in (0, 1)")
         if self.filter_scope not in ("epoch", "batch"):
@@ -113,20 +112,18 @@ class TrainResult:
 
 
 class Adam:
-    """Adam with a per-group learning rate (WCB parameters vs the rest).
+    """Adam with one learning rate for every parameter.
 
-    The moments and the learning rates are flat vectors aligned with the
-    store's flat parameter buffer, so one step is one vectorised update.
+    The moments are flat vectors aligned with the store's flat parameter
+    buffer, so one step is one vectorised update.
     """
 
-    def __init__(self, store: ParamStore, lr_by_group: dict[str, float]):
+    def __init__(self, store: ParamStore, lr: float):
         self.store = store
         self.t = 0
+        self.lr = lr
         self.m = np.zeros_like(store.flat_params)
         self.v = np.zeros_like(store.flat_params)
-        self.lr = np.empty_like(store.flat_params)
-        for name, sl in store.slices.items():
-            self.lr[sl] = lr_by_group[store.groups[name]]
 
     def step(self) -> None:
         self.t += 1
@@ -151,8 +148,8 @@ def init_params(dim: int, seed: int) -> ParamStore:
     """All trainable MLPs; the same seed always yields the same init."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
     store = ParamStore()
-    store.init_mlp(TEXT_MLP, dim, dim, dim, rng, group="wcb")
-    store.init_mlp(IMAGE_MLP, dim, dim, dim, rng, group="wcb")
+    store.init_mlp(TEXT_MLP, dim, dim, dim, rng)
+    store.init_mlp(IMAGE_MLP, dim, dim, dim, rng)
     store.init_mlp(fusion.FUSION_MLP[fusion.VIEW_GLOBAL], 2 * dim, dim, dim, rng)
     store.init_mlp(fusion.FUSION_MLP[fusion.VIEW_WCB], 2 * dim, dim, dim, rng)
     return store
@@ -330,7 +327,7 @@ def train_epoch(store: ParamStore, optimizer: Adam, samples: Dataset,
 def run_training(samples: Dataset, config: TrainConfig) -> TrainResult:
     config.validate()
     store = init_params(samples.spec.dim, config.seed)
-    optimizer = Adam(store, {"wcb": config.lr_wcb, "other": config.lr_other})
+    optimizer = Adam(store, config.lr)
     train_idx, eval_idx = split_dataset(samples, config)
     records: list[MetricsRecord] = []
     filter_rows: list[FilterReportRow] = []

@@ -429,12 +429,10 @@ def grad_check(f, store: ParamStore) -> GradCheckReport:
     max_abs = 0.0
     worst = ""
     n = 0
-    group_worst: dict[str, float] = {}
     ok = True
     for name, p in store.params.items():
         flat = p.reshape(-1)
         aflat = analytic[name].reshape(-1)
-        pw = 0.0
         for j in range(flat.size):
             orig = flat[j]
             flat[j] = orig + _STEP
@@ -459,9 +457,5 @@ def grad_check(f, store: ParamStore) -> GradCheckReport:
                     ok = False
                 if err > max_rel:
                     max_rel, worst = err, name
-            pw = max(pw, err)
-        grp = store.groups[name]
-        group_worst[grp] = max(group_worst.get(grp, 0.0), pw)
     return GradCheckReport(passed=ok, max_rel_error=max_rel, max_abs_error=max_abs,
-                           worst_param=worst, n_entries=n,
-                           group_worst=group_worst)
+                           worst_param=worst, n_entries=n)

@@ -98,7 +98,7 @@ class TestGenerate:
         ("train", "enable_wcb", "no"),
         ("train", "enable_nfb", 1),
         ("train", "filter_scope", 1),
-        ("train", "lr_wcb", "0.1"),
+        ("train", "lr", "0.1"),
         ("dataset", "mismatch_rate", False),
         ("dataset", "seed", 1.0),
     ], ids=["int-field-float", "count-float", "int-field-bool", "bool-field-str",
@@ -155,10 +155,10 @@ class TestGenerate:
     def test_nan_learning_rate_exits_1(self, tmp_path, dataset_path, capsys):
         cfg = tmp_path / "nan.json"
         cfg.write_text(json.dumps({"dataset": SMALL["dataset"],
-                                   "train": {**SMALL["train"], "lr_wcb": float("nan")}}))
+                                   "train": {**SMALL["train"], "lr": float("nan")}}))
         assert main(["train", "--config", str(cfg), "--dataset", dataset_path,
                      "--out", str(tmp_path / "run")]) == EXIT_USAGE
-        assert "lr_wcb" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("config error: lr must be finite")
 
     def test_seed_override_changes_output(self, config_path, tmp_path):
         a, b, c = (tmp_path / n for n in ("a.ncld", "b.ncld", "c.ncld"))
@@ -557,16 +557,18 @@ def test_report_on_malformed_run_files_exits_3_without_traceback(tmp_path, capsy
 @pytest.mark.parametrize("raw, message", [
     ([], "config root must be a JSON object"),
     ({"model": {}}, "unknown key(s) in config root: ['model']"),
-    ({"train": {"lr": 0.1}}, "unknown key(s) in 'train' section: ['lr']"),
+    ({"train": {"rate": 0.1}}, "unknown key(s) in 'train' section: ['rate']"),
     ({"dataset": {"dimension": 8}}, "unknown key(s) in 'dataset' section: ['dimension']"),
     *[({"train": {key: value}}, f"unknown key(s) in 'train' section: ['{key}']")
-      for key, value in (("adam_beta1", 0.9), ("adam_beta2", 0.999), ("adam_eps", 1e-8))],
+      for key, value in (("adam_beta1", 0.9), ("adam_beta2", 0.999), ("adam_eps", 1e-8),
+                         ("lr_wcb", 1e-3), ("lr_other", 1e-3))],
     ({"dataset": "ab"}, "'dataset' section must be a JSON object"),
     ({"train": 5}, "'train' section must be a JSON object"),
     ({"train": []}, "'train' section must be a JSON object"),
     ({"dataset": None}, "'dataset' section must be a JSON object"),
 ], ids=["root-list", "top-level", "train-key", "dataset-key", "adam_beta1", "adam_beta2",
-        "adam_eps", "section-str", "section-int", "section-list", "section-null"])
+        "adam_eps", "lr_wcb", "lr_other", "section-str", "section-int", "section-list",
+        "section-null"])
 def test_config_outside_the_schema_exits_1_without_traceback(tmp_path, capsys, raw,
                                                             message):
     cfg = tmp_path / "config.json"
@@ -625,6 +627,19 @@ def test_python_dash_m_runs_the_cli(tmp_path, module):
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("i/o error: ")
     assert not out.exists()
+
+
+def test_diverging_run_prints_one_line_and_leaves_no_out(tmp_path, dataset_path):
+    # in a fresh process, where NumPy's overflow warnings would reach stderr
+    cfg = tmp_path / "diverge.json"
+    cfg.write_text(json.dumps({**SMALL, "train": {**SMALL["train"], "lr": 1e300}}))
+    run = tmp_path / "run"
+    proc = _run_module("noisycir", "train", "--config", str(cfg), "--dataset",
+                       dataset_path, "--out", str(run))
+    assert proc.returncode == EXIT_NUMERIC
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("numerical failure: ")
+    assert not run.exists()
 
 
 def test_python_dash_m_gradcheck_passes():

@@ -136,15 +136,15 @@ def test_written_files_follow_the_umask(tmp_path, umask):
 def test_weights_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     store = ParamStore()
-    store.init_mlp("a", 4, 4, 4, rng, group="wcb")
-    store.init_mlp("b", 8, 4, 4, rng, group="other")
+    store.init_mlp("a", 4, 4, 4, rng)
+    store.init_mlp("b", 8, 4, 4, rng)
     path = tmp_path / "w.nclw"
     write_weights(store, str(path))
     loaded = read_weights(str(path))
     assert loaded.names() == store.names()
     for name in store.names():
         assert np.array_equal(loaded.params[name], store.params[name])
-        assert loaded.groups[name] == store.groups[name]
+    assert np.array_equal(loaded.flat_params, store.flat_params)
 
 
 def test_weights_magic_distinct(tmp_path, dataset_file):
@@ -192,7 +192,7 @@ def rewrite_record(path, sample, column, value):
 
 def test_weights_header_metadata(tmp_path):
     store = ParamStore()
-    store.init_mlp("a", 3, 2, 2, np.random.default_rng(1), group="wcb")
+    store.init_mlp("a", 3, 2, 2, np.random.default_rng(1))
     path = tmp_path / "w.nclw"
     write_weights(store, str(path), extra={"note": 1})
     blob = path.read_bytes()
@@ -200,7 +200,7 @@ def test_weights_header_metadata(tmp_path):
     header = json.loads(blob[10:10 + hdr_len])
     assert set(header) == {"kind", "params", "extra"}
     assert header["extra"] == {"note": 1}
-    assert [set(e) for e in header["params"]] == [{"name", "shape", "group"}] * 4
+    assert [set(e) for e in header["params"]] == [{"name", "shape"}] * 4
 
 
 def test_truth_is_read_from_the_checksummed_record(dataset_file):
@@ -294,7 +294,7 @@ def test_version_1_file_exits_3_with_one_line(dataset_file, tmp_path, capsys):
 @pytest.fixture
 def weights_file(tmp_path):
     store = ParamStore()
-    store.init_mlp("a", 3, 2, 2, np.random.default_rng(1), group="wcb")
+    store.init_mlp("a", 3, 2, 2, np.random.default_rng(1))
     path = tmp_path / "w.nclw"
     write_weights(store, str(path))
     return path
@@ -307,7 +307,7 @@ def _set_first(key, value):
 
 
 def _add_param(header):
-    header["params"].append({"name": "z", "shape": [1, 1], "group": "wcb"})
+    header["params"].append({"name": "z", "shape": [1, 1]})
 
 
 @pytest.mark.parametrize("mutate", [
@@ -317,13 +317,14 @@ def _add_param(header):
     _set_first("offset", -8),          # version 1's offsets are stale keys
     _set_first("offset", 0),
     _set_first("name", "a.b1"),        # duplicate of a later name
+    _set_first("group", "wcb"),        # a stale key of files with two learning rates
     _add_param,                        # the payload is one float short of it
     lambda h: h.update(params={}),
     lambda h: h.update(payload_bytes=8),
     lambda h: h.pop("extra"),
     lambda h: h.update(extra=[]),
 ], ids=["short-shape", "3d-shape", "string-dim", "negative-offset",
-        "missing-offset", "duplicate-name", "payload-short", "params-not-list",
+        "missing-offset", "duplicate-name", "stale-group", "payload-short", "params-not-list",
         "stale-payload-bytes", "no-extra", "extra-not-object"])
 def test_bad_weights_header_raises_data_format_error(weights_file, mutate):
     rewrite_header(weights_file, mutate)

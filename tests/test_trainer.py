@@ -29,7 +29,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"batch_size": 3},
         {"epochs": -1},
-        {"lr_wcb": 0.0},
+        {"lr": 0.0},
         {"temperature": -0.1},
         {"theta": 1.0},
         {"filter_scope": "dataset"},
@@ -38,8 +38,8 @@ class TestConfigValidation:
         {"seed": -1},
         {"seed": 2.0},
         {"seed": False},
-        {"lr_wcb": float("nan")},
-        {"lr_other": float("inf")},
+        {"lr": float("nan")},
+        {"lr": float("inf")},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
@@ -96,9 +96,9 @@ class DictAdam:
     """Reference optimizer: Adam written per named parameter, one
     dictionary entry of moments each."""
 
-    def __init__(self, store, lr_by_group, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, store, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.store = store
-        self.lr_by_group = lr_by_group
+        self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in store.params.items()}
@@ -113,16 +113,14 @@ class DictAdam:
             self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
             mhat = self.m[name] / (1 - b1 ** self.t)
             vhat = self.v[name] / (1 - b2 ** self.t)
-            lr = self.lr_by_group[self.store.groups[name]]
-            p -= lr * mhat / (np.sqrt(vhat) + self.eps)
+            p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
         self.store.zero_grads()
 
 
 class TestAdam:
     def test_flat_steps_equal_per_parameter_oracle_exactly(self):
-        rates = {"wcb": 1e-3, "other": 3e-2}
         flat_store, ref_store = init_params(6, 2), init_params(6, 2)
-        flat, ref = Adam(flat_store, rates), DictAdam(ref_store, rates)
+        flat, ref = Adam(flat_store, 3e-2), DictAdam(ref_store, 3e-2)
         rng = np.random.default_rng(21)
         for _ in range(5):
             for name in flat_store.names():
@@ -133,12 +131,11 @@ class TestAdam:
             flat.step()
             ref.step()
         for name in ref_store.names():
-            sl = flat_store.slices[name]
             assert np.array_equal(flat_store.params[name], ref_store.params[name]), name
-            assert np.array_equal(flat.m[sl], ref.m[name].reshape(-1)), name
-            assert np.array_equal(flat.v[sl], ref.v[name].reshape(-1)), name
+        for flat_moment, ref_moment in ((flat.m, ref.m), (flat.v, ref.v)):
+            assert np.array_equal(flat_moment, np.concatenate(
+                [ref_moment[name].reshape(-1) for name in ref_store.names()]))
         assert not flat_store.flat_grads.any()
-        assert {flat_store.groups[k] for k in flat_store.names()} == set(rates)
 
     def test_single_step_matches_hand_formula(self):
         store = init_params(4, 0)
@@ -147,25 +144,13 @@ class TestAdam:
         for k in store.grads:
             store.grads[k][...] = 1.0
         g = np.ones_like(before[name])
-        opt = Adam(store, {"wcb": 1e-3, "other": 1e-2})
+        opt = Adam(store, 1e-2)
         opt.step()
         # bias-corrected first step reduces to p -= lr * g / (|g| + eps)
         for k, prev in before.items():
-            lr = {"wcb": 1e-3, "other": 1e-2}[store.groups[k]]
-            expect = prev - lr * 1.0 / (1.0 + 1e-8)
+            expect = prev - 1e-2 * 1.0 / (1.0 + 1e-8)
             assert np.allclose(store.params[k], expect, atol=1e-12)
         assert all(np.all(v == 0) for v in store.grads.values())
-
-    def test_group_rates_are_respected(self):
-        store = init_params(4, 1)
-        before = {k: v.copy() for k, v in store.params.items()}
-        for k in store.grads:
-            store.grads[k][...] = 0.5
-        opt = Adam(store, {"wcb": 0.0, "other": 1e-2})
-        opt.step()
-        for k, prev in before.items():
-            moved = not np.allclose(store.params[k], prev)
-            assert moved == (store.groups[k] == "other")
 
 
 class TestTraining:
@@ -267,7 +252,7 @@ class TestTraining:
 
     def test_train_epoch_reports_recall_fields(self, small_dataset):
         store = init_params(SMALL_SPEC.dim, 0)
-        opt = Adam(store, {"wcb": 1e-3, "other": 1e-3})
+        opt = Adam(store, 1e-3)
         train_idx, eval_idx = split_dataset(small_dataset, SMALL_CFG)
         rec, rows = train_epoch(store, opt, small_dataset, train_idx, eval_idx,
                                 SMALL_CFG, epoch=0)
@@ -336,7 +321,7 @@ class TestFilterPath:
         batch_size = next(b for b in range(4, n) if n % b == 1)
         cfg = dataclasses.replace(SMALL_CFG, batch_size=batch_size)
         store = init_params(SMALL_SPEC.dim, 0)
-        opt = Adam(store, {"wcb": 1e-3, "other": 1e-3})
+        opt = Adam(store, 1e-3)
         _, rows = train_epoch(store, opt, small_dataset, train_idx, eval_idx,
                               cfg, epoch=cfg.warmup_epochs)
         assert [r.n_matched + r.n_mismatched for r in rows] == [n, n]
@@ -411,7 +396,7 @@ class TestTapeLifetime:
         monkeypatch.setattr(trainer, "Tape", RecordingTape)
         cfg = dataclasses.replace(SMALL_CFG, filter_scope=scope)
         store = init_params(SMALL_SPEC.dim, 0)
-        opt = Adam(store, {"wcb": 1e-3, "other": 1e-3})
+        opt = Adam(store, 1e-3)
         train_idx, eval_idx = split_dataset(small_dataset, cfg)
         was_enabled = gc.isenabled()
         gc.disable()

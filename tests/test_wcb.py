@@ -70,11 +70,11 @@ def image_bundle(tokens, attention):
                        global_index=0, modality="image")
 
 
-def zero_mlp(store, name, d, group="other"):
-    store.add(f"{name}.W1", np.zeros((d, d)), group)
-    store.add(f"{name}.b1", np.zeros((1, d)), group)
-    store.add(f"{name}.W2", np.zeros((d, d)), group)
-    store.add(f"{name}.b2", np.zeros((1, d)), group)
+def zero_mlp(store, name, d):
+    store.add(f"{name}.W1", np.zeros((d, d)))
+    store.add(f"{name}.b1", np.zeros((1, d)))
+    store.add(f"{name}.W2", np.zeros((d, d)))
+    store.add(f"{name}.b2", np.zeros((1, d)))
 
 
 class TestWeightRelocate:

@@ -30,9 +30,10 @@ them, so zeroing the gradients and an optimizer update each touch one array.
 
 Graph lifetime: a tape, its Vars and their closures point at each other; a
 Tape used as a context manager cuts those links when the block ends, so
-reference counting frees the graph. cosine_matrix and softmax_xent_rows
-take their values from array functions, cosine_values and xent_values, which
-also work over stacks of batches.
+reference counting frees the graph. nce_rows takes its values from array
+functions, cosine_values then xent_values, which also work over stacks of
+batches; its backward folds the softmax gradient into the cosine's, so the
+similarity matrix gets no node and no gradient buffer.
 
 grad_check compares the tape's gradient of every entry of flat_params with a
 central difference, as two flat vectors, at a fixed step and tolerances; an
@@ -54,8 +55,8 @@ _NORM_EPS = 1e-12
 
 # Test hook: when set to one of FAULT_OPS, that op's backward multiplies its
 # gradient by a wrong factor so gradient checks must fail.
-FAULT_OPS = ("add", "maxpool_segments", "concat_cols", "slice_rows", "cosine_matrix",
-             "softmax_xent_rows", "masked_mean", "mlp_forward")
+FAULT_OPS = ("add", "maxpool_segments", "concat_cols", "slice_rows", "nce_rows",
+             "masked_mean", "mlp_forward")
 _FAULT_OP: str | None = None
 
 
@@ -279,15 +280,21 @@ def slice_rows(a: Var, start: int, stop: int) -> Var:
     return _record(out, bw)
 
 
-def cosine_matrix(q: Var, t: Var) -> Var:
-    """All-pairs cosine similarities: out[i, j] = cos(q_i, t_j)."""
-    if q.shape[1] != t.shape[1]:
-        raise ShapeError(f"cosine_matrix widths {q.shape} vs {t.shape}")
+def nce_rows(q: Var, t: Var, tau: float) -> Var:
+    """Per-row InfoNCE over in-batch targets: row i yields
+    -log softmax(cos(q_i, t_j) / tau over j)[i], with the row max subtracted
+    for stability. Output shape (B, 1)."""
+    if q.shape != t.shape:
+        raise ShapeError(f"nce_rows {q.shape} vs {t.shape}")
+    if tau <= 0:
+        raise ConfigError("temperature must be positive")
     sims, (qh, qn), (th, tn) = cosine_values(q.value, t.value)
-    out = Var(_same_tape(q, t), sims, q.data and t.data)
+    losses, e, s = xent_values(sims, tau)
+    out = Var(_same_tape(q, t), losses, q.data and t.data)
 
     def bw():
-        g = _fault("cosine_matrix", out.grad)
+        g = _fault("nce_rows", out.grad)
+        g = g * (e / s - np.eye(len(e))) / tau  # the gradient of the cosines
         # a clamped row maps as x / eps, which has no tangent projection
         if not q.data:
             dqh = g @ th
@@ -295,28 +302,6 @@ def cosine_matrix(q: Var, t: Var) -> Var:
         if not t.data:
             dth = g.T @ qh
             t.grad += (dth - (tn > _NORM_EPS) * (dth * th).sum(axis=1, keepdims=True) * th) / tn
-
-    return _record(out, bw)
-
-
-def softmax_xent_rows(sims: Var, tau: float) -> Var:
-    """Per-row temperature-scaled softmax cross-entropy against the diagonal.
-
-    Row i yields -log softmax(sims[i] / tau)[i], computed with the row-max
-    subtracted for stability. Output shape (B, 1).
-    """
-    if tau <= 0:
-        raise ConfigError("temperature must be positive")
-    b = sims.shape[0]
-    if sims.shape != (b, b):
-        raise ShapeError(f"softmax_xent_rows expects square matrix, got {sims.shape}")
-    losses, e, s = xent_values(sims.value, tau)
-    out = Var(sims.tape, losses, sims.data)
-
-    def bw():
-        g = _fault("softmax_xent_rows", out.grad)
-        d = e / s - np.eye(b)
-        sims.grad += g * d / tau
 
     return _record(out, bw)
 

@@ -52,10 +52,12 @@ def _csv(rows: list[dict], columns: list[str]) -> str:
 
 
 def _check_out(args) -> None:
-    """Refuse an --out the command could not write, creating nothing: the
-    directory of generate's file must exist, and the nearest existing
-    ancestor of train's and ablate's directory must be a directory."""
+    """Refuse an --out the command could not write, creating nothing: it must
+    not be empty, the directory of generate's file must exist, and the nearest
+    existing ancestor of train's and ablate's directory must be a directory."""
     out = args.out
+    if not out:
+        raise OSError("--out is empty")
     if args.command == "generate":
         if os.path.isdir(out):
             raise OSError(f"--out {out} is a directory")

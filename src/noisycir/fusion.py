@@ -5,8 +5,8 @@ one fusion MLP per view (plain global tokens vs weight-compensated). The
 per-sample loss is temperature-scaled softmax cross-entropy over in-batch
 cosine similarities, and the training objective (masked_loss) is the sum of
 the label-masked means of the enabled views' loss vectors.
-The autodiff ops check a positive temperature, a square similarity matrix
-and one label per row; fusion checks only the view, equal text and image
+The autodiff ops check a positive temperature, queries and targets of one
+shape and one label per row; fusion checks only the view, equal text and image
 shapes and a batch of at least 2 pairs.
 """
 
@@ -39,8 +39,7 @@ def nce_per_sample(queries: Var, targets: Var, tau: float) -> Var:
     """Per-sample contrastive loss column (B, 1) over in-batch negatives."""
     if queries.shape[0] < 2:
         raise ShapeError("need a batch of at least 2 pairs")
-    sims = ad.cosine_matrix(queries, targets)
-    return ad.softmax_xent_rows(sims, tau)
+    return ad.nce_rows(queries, targets, tau)
 
 
 def soft_nce_loss(queries: Var, targets: Var, queries_wcb: Var, targets_wcb: Var,

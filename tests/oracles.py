@@ -9,7 +9,8 @@ The composed autodiff ops below are the op-by-op building blocks the fused
 mlp_forward and the batched pooling and similarity ops replaced; no code in
 the package calls them. add_bias is autodiff.add's former (1, n) row-bias
 form. Each keeps its fault hook, so gradient-check tests can plant a fault
-in it.
+in it, except cosine_matrix and softmax_xent_rows: the two ops, without
+their hooks, that autodiff.nce_rows was composed of before it became one op.
 
 taped_epoch_losses is the trainer's epoch-scope loss pass as it ran before
 its losses were stacked: one forward_batch and one nce_per_sample per chunk.
@@ -53,7 +54,7 @@ import numpy as np
 from noisycir import autodiff as ad
 from noisycir import nfb, trainer
 from noisycir.autodiff import (_ABS_FLOOR, _ABS_TOL, _NORM_EPS, _STEP, _TOL, GradCheckReport,
-                               ParamStore, Tape, Var, _fault, _same_tape)
+                               ParamStore, Tape, Var, _fault, _record, _same_tape)
 from noisycir.errors import NumericalError, ShapeError
 from noisycir.evaluation import recall_from_similarity
 from noisycir.fusion import masked_loss, nce_per_sample
@@ -186,6 +187,42 @@ def cosine(u: Var, v: Var) -> Var:
 
     out._backward = bw
     return out
+
+
+def cosine_matrix(q: Var, t: Var) -> Var:
+    """All-pairs cosine similarities: out[i, j] = cos(q_i, t_j)."""
+    if q.shape[1] != t.shape[1]:
+        raise ShapeError(f"cosine_matrix widths {q.shape} vs {t.shape}")
+    sims, (qh, qn), (th, tn) = ad.cosine_values(q.value, t.value)
+    out = Var(_same_tape(q, t), sims, q.data and t.data)
+
+    def bw():
+        g = out.grad
+        # a clamped row maps as x / eps, which has no tangent projection
+        if not q.data:
+            dqh = g @ th
+            q.grad += (dqh - (qn > _NORM_EPS) * (dqh * qh).sum(axis=1, keepdims=True) * qh) / qn
+        if not t.data:
+            dth = g.T @ qh
+            t.grad += (dth - (tn > _NORM_EPS) * (dth * th).sum(axis=1, keepdims=True) * th) / tn
+
+    return _record(out, bw)
+
+
+def softmax_xent_rows(sims: Var, tau: float) -> Var:
+    """Per-row temperature-scaled softmax cross-entropy against the diagonal,
+    (B, 1), of a square similarity matrix."""
+    b = sims.shape[0]
+    if sims.shape != (b, b):
+        raise ShapeError(f"softmax_xent_rows expects square matrix, got {sims.shape}")
+    losses, e, s = ad.xent_values(sims.value, tau)
+    out = Var(sims.tape, losses, sims.data)
+
+    def bw():
+        d = e / s - np.eye(b)
+        sims.grad += out.grad * d / tau
+
+    return _record(out, bw)
 
 
 def cosine_similarity_matrix(queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:

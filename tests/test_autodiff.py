@@ -123,18 +123,18 @@ class TestCosine:
         """A row under the clamp maps as x / eps; a step of 1e-17 keeps every
         perturbed row of norm < eps under it."""
         rng = np.random.default_rng(7)
-        q, t = rng.standard_normal((4, 5)), rng.standard_normal((3, 5))
+        q, t = rng.standard_normal((4, 5)), rng.standard_normal((4, 5))
         for x, row in ((q, 1), (t, 2)):
             x[row] *= norm / np.linalg.norm(x[row])
-        weights = rng.standard_normal((4, 3))
+        weights = rng.standard_normal((4, 1))
         store = ParamStore()
         store.add("q", q)
         store.add("t", t)
 
         def f(st):
             tape = Tape()
-            sims = ad.cosine_matrix(oracles.param(tape, st, "q"), oracles.param(tape, st, "t"))
-            return oracles.vsum(oracles.emul(sims, tape.const(weights)))
+            losses = ad.nce_rows(oracles.param(tape, st, "q"), oracles.param(tape, st, "t"), 0.5)
+            return oracles.vsum(oracles.emul(losses, tape.const(weights)))
 
         ana = analytic_grads(f, store)
         for name, row in (("q", 1), ("t", 2)):
@@ -477,8 +477,7 @@ def _every_op_loss(tape, store):
     pooled = ad.maxpool_segments(ad.mlp_forward(x, store, "m"), 4)
     q = ad.concat_cols(ad.slice_rows(pooled, 0, 2), ad.slice_rows(pooled, 2, 4))
     t = ad.concat_cols(ad.slice_rows(pooled, 2, 4), ad.slice_rows(pooled, 0, 2))
-    losses = ad.softmax_xent_rows(ad.cosine_matrix(q, t), 0.5)
-    return ad.masked_mean(losses, np.array([1.0, 0.5]))
+    return ad.masked_mean(ad.nce_rows(q, t, 0.5), np.array([1.0, 0.5]))
 
 
 class TestLeanTape:
@@ -555,11 +554,41 @@ def test_const_makes_2d_float64_leaves():
             tape.const(bad)
 
 
-def test_softmax_xent_rows_refuses_a_nonpositive_temperature():
-    sims = Tape().const(np.eye(3))
+def test_nce_rows_refuses_a_nonpositive_temperature():
+    x = Tape().const(np.eye(3))
     for tau in (0.0, -0.1):
         with pytest.raises(ConfigError, match="temperature must be positive"):
-            ad.softmax_xent_rows(sims, tau)
+            ad.nce_rows(x, x, tau)
+
+
+def _nce_value_and_grads(nce, q, t, weights):
+    """Loss column and q, t gradients of masked_mean(nce(q, t), weights)."""
+    tape = Tape()
+    qv, tv = oracles.leaf(tape, q), oracles.leaf(tape, t)
+    losses = nce(qv, tv)
+    tape.backward(ad.masked_mean(losses, weights))
+    return losses.value, qv.grad, tv.grad
+
+
+def test_nce_rows_equals_the_composed_reference_exactly():
+    rng = np.random.default_rng(24)
+    clamped = 0
+    for _ in range(300):
+        b, d = int(rng.integers(2, 21)), int(rng.integers(1, 9))
+        tau = float(rng.choice([0.01, 0.07, 0.5, 1.0, 3.0]))
+        q, t = rng.standard_normal((b, d)), rng.standard_normal((b, d))
+        for x in (q, t):  # exactly-zero and tiny rows: the norm clamp
+            x[rng.random(b) < 0.1] = 0.0
+            x[rng.random(b) < 0.1] *= 1e-14
+        clamped += int((q == 0.0).all(axis=1).any() or (t == 0.0).all(axis=1).any())
+        weights = (rng.random(b) < 0.7).astype(float)
+        fused = _nce_value_and_grads(lambda qv, tv: ad.nce_rows(qv, tv, tau), q, t, weights)
+        composed = _nce_value_and_grads(
+            lambda qv, tv: oracles.softmax_xent_rows(oracles.cosine_matrix(qv, tv), tau),
+            q, t, weights)
+        for got, want in zip(fused, composed):
+            assert np.array_equal(got, want)
+    assert clamped > 50
 
 
 class TestMlpAppliedTwice:
@@ -715,9 +744,7 @@ class TestValueMath:
         assert sims.shape == (5, 6, 6) and losses.shape == (5, 6, 1)
         for i in range(q.shape[0]):
             with Tape() as tape:
-                taped_sims = ad.cosine_matrix(tape.const(q[i]), tape.const(t[i]))
-                taped = ad.softmax_xent_rows(taped_sims, tau)
-            assert np.array_equal(sims[i], taped_sims.value)
+                taped = ad.nce_rows(tape.const(q[i]), tape.const(t[i]), tau)
             assert np.array_equal(losses[i], taped.value)
 
     @pytest.mark.parametrize("side", ["q", "t"])
@@ -760,11 +787,10 @@ class TestDataLeaves:
     @pytest.mark.parametrize("op", [
         lambda a, b: ad.add(a, b),
         lambda a, b: ad.concat_cols(a, b),
-        lambda a, b: ad.cosine_matrix(a, b),
+        lambda a, b: ad.nce_rows(a, b, 0.1),
         lambda a, b: ad.slice_rows(a, 0, 1),
         lambda a, b: ad.maxpool_segments(a, 2),
-        lambda a, b: ad.masked_mean(ad.softmax_xent_rows(ad.cosine_matrix(a, b), 0.1),
-                                    [1.0, 1.0]),
+        lambda a, b: ad.masked_mean(ad.nce_rows(a, b, 0.1), [1.0, 1.0]),
     ])
     def test_op_on_data_alone_records_nothing(self, op):
         tape = Tape()

@@ -375,8 +375,9 @@ class TestGradcheck:
         assert main(["gradcheck"]) == EXIT_OK
 
     def test_unknown_fault_op_exits_1(self, capsys):
-        # matmul and relu run inside the fused mlp_forward; the tape records neither
-        for op in ("typo", "matmul", "relu"):
+        # matmul and relu run inside the fused mlp_forward, and cosine_matrix and
+        # softmax_xent_rows inside nce_rows; the tape records none of them
+        for op in ("typo", "matmul", "relu", "cosine_matrix", "softmax_xent_rows"):
             assert main(["gradcheck", "--inject-fault", op]) == EXIT_USAGE
             captured = capsys.readouterr()
             assert f"invalid choice: '{op}'" in captured.err
@@ -587,8 +588,13 @@ def test_config_outside_the_schema_exits_1_without_traceback(tmp_path, capsys, r
     ("generate", "nodir/d.ncld"),
     ("generate", "afile/d.ncld"),
     ("generate", "adir"),
+    # "" has no directory part, which once passed for the working directory
+    ("generate", ""),
+    ("train", ""),
+    ("ablate", ""),
 ], ids=["train-under-file", "ablate-under-file", "train-onto-file",
-        "generate-no-dir", "generate-under-file", "generate-onto-dir"])
+        "generate-no-dir", "generate-under-file", "generate-onto-dir",
+        "generate-empty", "train-empty", "ablate-empty"])
 def test_unusable_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
                                               config_path, command, out):
     def no_work(*args, **kwargs):

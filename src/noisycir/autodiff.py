@@ -22,7 +22,9 @@ mlp_forward records a two-layer perceptron as one fused node: it reads its
 weights from a ParamStore, and a single closure back-propagates through both
 layers and the ReLU and adds the weights' gradients straight into the store.
 So parameters and hidden activations get no tape nodes of their own, and a
-second backward adds to the store again.
+second backward adds to the store again. Given row segments, it also
+max-pools its output per segment and adds a data base: the whole WCB block.
+masked_loss is the whole objective, the views' label-masked means summed.
 
 A ParamStore keeps all parameters in one contiguous buffer and all
 gradients in another; params[name] and grads[name] are reshaped views into
@@ -55,8 +57,7 @@ _NORM_EPS = 1e-12
 
 # Test hook: when set to one of FAULT_OPS, that op's backward multiplies its
 # gradient by a wrong factor so gradient checks must fail.
-FAULT_OPS = ("add", "maxpool_segments", "concat_cols", "slice_rows", "nce_rows",
-             "masked_mean", "mlp_forward")
+FAULT_OPS = ("concat_cols", "slice_rows", "nce_rows", "masked_loss", "mlp_forward")
 _FAULT_OP: str | None = None
 
 
@@ -218,43 +219,6 @@ def _record(out: Var, bw) -> Var:
     return out
 
 
-def add(a: Var, b: Var) -> Var:
-    """Elementwise add of two matrices of one shape."""
-    if a.shape != b.shape:
-        raise ShapeError(f"add {a.shape} + {b.shape}")
-    out = Var(_same_tape(a, b), a.value + b.value, a.data and b.data)
-
-    def bw():
-        g = _fault("add", out.grad)
-        for v in (a, b):
-            if not v.data:
-                v.grad += g
-
-    return _record(out, bw)
-
-
-def maxpool_segments(a: Var, n_segments: int) -> Var:
-    """Max over rows within each of n equal-height row segments.
-
-    Ties break to the lowest row index.
-    """
-    rows, cols = a.shape
-    if rows % n_segments != 0:
-        raise ShapeError(f"{rows} rows not divisible into {n_segments} segments")
-    seg = rows // n_segments
-    v = a.value.reshape(n_segments, seg, cols)
-    out = Var(a.tape, v.max(axis=1), a.data)
-
-    def bw():
-        g = _fault("maxpool_segments", out.grad)
-        idx = np.argmax(v, axis=1)  # (n_segments, cols)
-        row_idx = idx + seg * np.arange(n_segments)[:, None]
-        # Each (row, column) pair occurs once, so a plain scatter-add suffices.
-        a.grad[row_idx, np.arange(cols)] += g
-
-    return _record(out, bw)
-
-
 def concat_cols(a: Var, b: Var) -> Var:
     if a.shape[0] != b.shape[0]:
         raise ShapeError(f"concat_cols {a.shape} | {b.shape}")
@@ -306,27 +270,33 @@ def nce_rows(q: Var, t: Var, tau: float) -> Var:
     return _record(out, bw)
 
 
-def masked_mean(v: Var, weights: np.ndarray) -> Var:
-    """(1/B) * sum_i weights[i] * v[i] for a (B, 1) column and constant weights."""
+def masked_loss(vecs: list[Var], weights) -> Var:
+    """Sum, in list order, of (1/B) * sum_i weights[i] * v[i] over the (B, 1)
+    columns v, for constant weights: the label-masked objective."""
     w = np.asarray(weights, dtype=np.float64).reshape(-1)
-    b = v.shape[0]
-    if v.shape[1] != 1 or w.shape[0] != b:
-        raise ShapeError(f"masked_mean on shape {v.shape} with {w.shape[0]} weights")
-    out = Var(v.tape, np.array([[float(v.value[:, 0] @ w) / b]]), v.data)
+    b = w.shape[0]
+    if any(v.shape != (b, 1) for v in vecs):
+        raise ShapeError(f"masked_loss on shapes {[v.shape for v in vecs]} with {b} weights")
+    terms = [float(v.value[:, 0] @ w) / b for v in vecs]
+    out = Var(_same_tape(*vecs), np.array([[sum(terms[1:], terms[0])]]),
+              all(v.data for v in vecs))
 
     def bw():
-        g = _fault("masked_mean", out.grad[0, 0])
-        v.grad[:, 0] += g * w / b
+        g = _fault("masked_loss", out.grad[0, 0])
+        for v in vecs:
+            if not v.data:
+                v.grad[:, 0] += g * w / b
 
     return _record(out, bw)
 
 
-def mlp_forward(x: Var, store: ParamStore, name: str) -> Var:
+def mlp_forward(x: Var, store: ParamStore, name: str, segments: int = 0,
+                base: Var | None = None) -> Var:
     """Two-layer perceptron: linear -> ReLU -> linear, parameters from store.
-
-    Recorded as one tape node; its backward adds the parameters' gradients
-    into store.grads.
-    """
+    With segments, the column-wise max over that many equal row segments (ties
+    to the lowest row) plus base, a data leaf of the pooled shape. One tape
+    node; its backward routes a pooled gradient to the argmax rows and adds
+    the parameters' gradients into store.grads."""
     w1, b1, w2, b2 = (store.params[f"{name}.{p}"] for p in ("W1", "b1", "W2", "b2"))
     gw1, gb1, gw2, gb2 = (store.grads[f"{name}.{p}"] for p in ("W1", "b1", "W2", "b2"))
     if x.shape[1] != w1.shape[0]:
@@ -335,10 +305,24 @@ def mlp_forward(x: Var, store: ParamStore, name: str) -> Var:
     np.maximum(np.add(h, b1, out=h), 0.0, out=h)  # bias and ReLU in place
     y = h @ w2
     y += b2
-    out = Var(x.tape, y)  # never data: the parameters take gradients
+    if segments:
+        rows, cols = y.shape
+        if rows % segments != 0:
+            raise ShapeError(f"{rows} rows not divisible into {segments} segments")
+        if base is None or not base.data or base.shape != (segments, cols):
+            raise ShapeError(f"MLP {name}: base must be data of shape {(segments, cols)}")
+        v = y.reshape(segments, rows // segments, cols)
+        out = Var(x.tape, v.max(axis=1) + base.value)
+    else:
+        out = Var(x.tape, y)  # never data: the parameters take gradients
 
     def bw():
         g = _fault("mlp_forward", out.grad)
+        if segments:  # route each pooled entry to its argmax row
+            row_idx = np.argmax(v, axis=1) + v.shape[1] * np.arange(segments)[:, None]
+            routed = np.zeros(y.shape)
+            routed[row_idx, np.arange(y.shape[1])] += g
+            g = routed
         gb2[...] += g.sum(axis=0, keepdims=True)
         gw2[...] += h.T @ g
         g = (g @ w2.T) * (h > 0.0)

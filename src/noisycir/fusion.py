@@ -3,8 +3,8 @@
 A query is the MLP of the concatenated text and reference-image embeddings,
 one fusion MLP per view (plain global tokens vs weight-compensated). The
 per-sample loss is temperature-scaled softmax cross-entropy over in-batch
-cosine similarities, and the training objective (masked_loss) is the sum of
-the label-masked means of the enabled views' loss vectors.
+cosine similarities, and the training objective (masked_loss, one autodiff
+op) is the sum of the label-masked means of the enabled views' loss vectors.
 The autodiff ops check a positive temperature, queries and targets of one
 shape and one label per row; fusion checks only the view, equal text and image
 shapes and a batch of at least 2 pairs.
@@ -51,7 +51,4 @@ def soft_nce_loss(queries: Var, targets: Var, queries_wcb: Var, targets_wcb: Var
 
 def masked_loss(loss_vectors: list[Var], labels: np.ndarray) -> Var:
     """Sum over views of the label-masked mean of each per-sample loss column."""
-    total = ad.masked_mean(loss_vectors[0], labels)
-    for lv in loss_vectors[1:]:
-        total = ad.add(total, ad.masked_mean(lv, labels))
-    return total
+    return ad.masked_loss(loss_vectors, labels)

@@ -243,10 +243,14 @@ def _diagnostics(store: ParamStore) -> str:
 
 def evaluate_retrieval(store: ParamStore, samples: Dataset,
                        enable_wcb: bool) -> dict[int, float]:
-    """Recall@K over the holdout; similarity averaged across enabled views."""
+    """Recall@K over the holdout; similarity averaged across enabled views.
+    A non-finite similarity, which would rank every target first, raises
+    NumericalError."""
     with Tape() as tape:
         pairs = forward_batch(tape, store, samples, enable_wcb)
     sims = sum(cosine_similarity_matrix(q.value, t.value) for q, t in pairs) / len(pairs)
+    if not np.isfinite(sims).all():
+        raise NumericalError(f"non-finite holdout similarity; param norms: {_diagnostics(store)}")
     return {k: recall_from_similarity(sims, min(k, len(samples))) for k in RECALL_KS}
 
 

@@ -6,11 +6,14 @@ store. Being recorded earlier, the sink runs after every reader of the leaf
 when the tape is replayed.
 
 The composed autodiff ops below are the op-by-op building blocks the fused
-mlp_forward and the batched pooling and similarity ops replaced; no code in
-the package calls them. add_bias is autodiff.add's former (1, n) row-bias
-form. Each keeps its fault hook, so gradient-check tests can plant a fault
-in it, except cosine_matrix and softmax_xent_rows: the two ops, without
-their hooks, that autodiff.nce_rows was composed of before it became one op.
+ops replaced; no code in the package calls them. add, maxpool_segments and
+masked_mean are the ops the WCB and the objective were recorded with before
+autodiff.mlp_forward took over the max-pool and the global add, and
+autodiff.masked_loss the label-masked means and their sum
+(composed_masked_loss); add_bias is add's (1, n) row-bias form. Each keeps
+its fault hook, so gradient-check tests can plant a fault in it, except
+cosine_matrix and softmax_xent_rows: the two ops, without their hooks, that
+autodiff.nce_rows was composed of before it became one op.
 
 taped_epoch_losses is the trainer's epoch-scope loss pass as it ran before
 its losses were stacked: one forward_batch and one nce_per_sample per chunk.
@@ -21,7 +24,8 @@ computed per sample, from the same draws of the sample's own generator.
 
 token_rows and compensate_batch are the weight compensation as it ran
 before datasets were packed: a list of per-sample bundles, checked for one
-shape and one global row, then concatenated bundle by bundle.
+shape and one global row, then concatenated bundle by bundle, and recorded
+as mlp_forward, maxpool_segments and add, as before the MLP pooled.
 
 build_sets and soft_labels are the noise filter's decision as it ran before
 it was kept as accept masks: per-view frozensets, combined by set algebra,
@@ -187,6 +191,66 @@ def cosine(u: Var, v: Var) -> Var:
 
     out._backward = bw
     return out
+
+
+def add(a: Var, b: Var) -> Var:
+    """Elementwise add of two matrices of one shape."""
+    if a.shape != b.shape:
+        raise ShapeError(f"add {a.shape} + {b.shape}")
+    out = Var(_same_tape(a, b), a.value + b.value, a.data and b.data)
+
+    def bw():
+        g = _fault("add", out.grad)
+        for v in (a, b):
+            _add_grad(v, g)
+
+    return _record(out, bw)
+
+
+def maxpool_segments(a: Var, n_segments: int) -> Var:
+    """Max over rows within each of n equal-height row segments.
+
+    Ties break to the lowest row index.
+    """
+    rows, cols = a.shape
+    if rows % n_segments != 0:
+        raise ShapeError(f"{rows} rows not divisible into {n_segments} segments")
+    seg = rows // n_segments
+    v = a.value.reshape(n_segments, seg, cols)
+    out = Var(a.tape, v.max(axis=1), a.data)
+
+    def bw():
+        g = _fault("maxpool_segments", out.grad)
+        idx = np.argmax(v, axis=1)  # (n_segments, cols)
+        row_idx = idx + seg * np.arange(n_segments)[:, None]
+        # Each (row, column) pair occurs once, so a plain scatter-add suffices.
+        a.grad[row_idx, np.arange(cols)] += g
+
+    return _record(out, bw)
+
+
+def masked_mean(v: Var, weights: np.ndarray) -> Var:
+    """(1/B) * sum_i weights[i] * v[i] for a (B, 1) column and constant weights."""
+    w = np.asarray(weights, dtype=np.float64).reshape(-1)
+    b = v.shape[0]
+    if v.shape[1] != 1 or w.shape[0] != b:
+        raise ShapeError(f"masked_mean on shape {v.shape} with {w.shape[0]} weights")
+    out = Var(v.tape, np.array([[float(v.value[:, 0] @ w) / b]]), v.data)
+
+    def bw():
+        g = _fault("masked_mean", out.grad[0, 0])
+        v.grad[:, 0] += g * w / b
+
+    return _record(out, bw)
+
+
+def composed_masked_loss(vecs: list[Var], weights) -> Var:
+    """The objective as fusion.masked_loss composed it before autodiff.masked_loss:
+    one masked_mean per view, summed by add in list order."""
+    total = masked_mean(vecs[0], weights)
+    for v in vecs[1:]:
+        total = add(total, masked_mean(v, weights))
+    return total
 
 
 def cosine_matrix(q: Var, t: Var) -> Var:
@@ -361,9 +425,8 @@ def compensate_batch(tape: Tape, store: ParamStore, bundles: list[TokenBundle],
                      name: str) -> Var:
     """Compensated (B, d) rows of a list of B bundles."""
     rows, global_tokens = token_rows(bundles)
-    pooled = ad.maxpool_segments(ad.mlp_forward(tape.const(rows), store, name),
-                                 len(bundles))
-    return ad.add(pooled, tape.const(global_tokens))
+    pooled = maxpool_segments(ad.mlp_forward(tape.const(rows), store, name), len(bundles))
+    return add(pooled, tape.const(global_tokens))
 
 
 @dataclass

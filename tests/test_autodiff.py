@@ -247,11 +247,14 @@ class TestMaxpoolRows:
 
         assert_grads_match(f, store)
 
+    # identity layers pass a non-negative input through mlp_forward unchanged,
+    # so its pooling is seen as is
     def test_segments_match_per_segment_pooling(self):
         rng = np.random.default_rng(10)
-        x = rng.uniform(-1, 1, (12, 5))
+        x = rng.uniform(0, 1, (12, 5))
         tape = Tape()
-        seg = ad.maxpool_segments(tape.const(x), 3)
+        seg = ad.mlp_forward(tape.const(x), _identity_mlp(5), "m", 3,
+                             tape.const(np.zeros((3, 5))))
         rows = [oracles.maxpool_rows(tape.const(x[i * 4:(i + 1) * 4]))
                 for i in range(3)]
         assert np.array_equal(seg.value, np.concatenate([r.value for r in rows]))
@@ -259,10 +262,18 @@ class TestMaxpoolRows:
     def test_segments_tie_routes_to_lowest_row(self):
         tape = Tape()
         x = oracles.leaf(tape, [[2.0, 1.0], [2.0, 0.0], [0.0, 4.0], [3.0, 4.0]])
-        out = ad.maxpool_segments(x, 2)
+        out = ad.mlp_forward(x, _identity_mlp(2), "m", 2, tape.const(np.zeros((2, 2))))
         assert out.value.tolist() == [[2.0, 1.0], [3.0, 4.0]]
         tape.backward(oracles.vsum(out))
         assert x.grad.tolist() == [[1.0, 1.0], [0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
+
+
+def _identity_mlp(d):
+    store = ParamStore()
+    for p, value in (("W1", np.eye(d)), ("b1", np.zeros((1, d))),
+                     ("W2", np.eye(d)), ("b2", np.zeros((1, d)))):
+        store.add(f"m.{p}", value)
+    return store
 
 
 class TestGradCheck:
@@ -427,7 +438,7 @@ class TestProperties:
             total = None
             for x in xs:
                 term = oracles.vsum(oracles.relu(oracles.matmul(tape.const(x), w)))
-                total = term if total is None else ad.add(total, term)
+                total = term if total is None else oracles.add(total, term)
             return total
 
         store.zero_grads()
@@ -473,11 +484,13 @@ class TestProperties:
 
 def _every_op_loss(tape, store):
     """A scalar loss that passes through every op the training step records."""
-    x = tape.const(np.random.default_rng(14).uniform(-1, 1, (8, 4)))
-    pooled = ad.maxpool_segments(ad.mlp_forward(x, store, "m"), 4)
+    rng = np.random.default_rng(14)
+    x, base = tape.const(rng.uniform(-1, 1, (8, 4))), tape.const(rng.uniform(-1, 1, (4, 4)))
+    pooled = ad.mlp_forward(x, store, "m", 4, base)
     q = ad.concat_cols(ad.slice_rows(pooled, 0, 2), ad.slice_rows(pooled, 2, 4))
     t = ad.concat_cols(ad.slice_rows(pooled, 2, 4), ad.slice_rows(pooled, 0, 2))
-    return ad.masked_mean(ad.nce_rows(q, t, 0.5), np.array([1.0, 0.5]))
+    return ad.masked_loss([ad.nce_rows(q, t, 0.5), ad.nce_rows(t, q, 0.5)],
+                          np.array([1.0, 0.5]))
 
 
 class TestLeanTape:
@@ -534,12 +547,13 @@ class TestBackwardFillsTheStore:
 
 
 def test_add_rejects_operands_of_unequal_shape():
+    # the reference add, which oracles.compensate_batch composes
     tape = Tape()
     a = tape.const(np.ones((3, 4)))
     for other in (np.ones((1, 4)), np.ones((3, 1)), np.ones((4, 3))):
         with pytest.raises(ShapeError):
-            ad.add(a, tape.const(other))
-    assert ad.add(a, tape.const(np.ones((3, 4)))).value.tolist() == [[2.0] * 4] * 3
+            oracles.add(a, tape.const(other))
+    assert oracles.add(a, tape.const(np.ones((3, 4)))).value.tolist() == [[2.0] * 4] * 3
 
 
 def test_const_makes_2d_float64_leaves():
@@ -562,11 +576,11 @@ def test_nce_rows_refuses_a_nonpositive_temperature():
 
 
 def _nce_value_and_grads(nce, q, t, weights):
-    """Loss column and q, t gradients of masked_mean(nce(q, t), weights)."""
+    """Loss column and q, t gradients of masked_loss([nce(q, t)], weights)."""
     tape = Tape()
     qv, tv = oracles.leaf(tape, q), oracles.leaf(tape, t)
     losses = nce(qv, tv)
-    tape.backward(ad.masked_mean(losses, weights))
+    tape.backward(ad.masked_loss([losses], weights))
     return losses.value, qv.grad, tv.grad
 
 
@@ -598,7 +612,7 @@ class TestMlpAppliedTwice:
         for x in xs:
             out = ad.mlp_forward(tape.const(x), store, "m")
             term = oracles.vsum(oracles.emul(out, out))
-            total = term if total is None else ad.add(total, term)
+            total = term if total is None else oracles.add(total, term)
         return total
 
     def test_store_gradients_are_the_sum_of_each_application(self):
@@ -673,14 +687,110 @@ class TestFusedMlp:
         assert len(tape._nodes) == 2
 
 
+def _pooled_value_and_grads(pooled, store, x, base, upstream):
+    """Value, x's gradient and the store's gradients of pooled(x) . upstream."""
+    store.zero_grads()
+    tape = Tape()
+    xv = oracles.leaf(tape, x)
+    out = pooled(xv, tape.const(base))
+    tape.backward(oracles.vsum(oracles.emul(out, tape.const(upstream))))
+    return out.value, xv.grad, store.flat_grads.copy()
+
+
+class TestPooledMlp:
+    @pytest.mark.parametrize("fault", [None, "mlp_forward"])
+    def test_equals_the_composed_reference_exactly(self, fault):
+        # the fused op's one hook scales the pooled gradient by 1.01
+        rng = np.random.default_rng(25)
+        ties = 0
+        for _ in range(60):
+            n, seg = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+            d_in, hidden, d_out = (int(k) for k in rng.integers(1, 6, 3))
+            store = ParamStore()
+            store.init_mlp("m", d_in, hidden, d_out, rng)
+            store.params["m.W2"][...] = np.round(store.params["m.W2"])  # zero columns: ties
+            store.params["m.W1"][:, 0] = 0.0  # b1 is 0: exactly-zero pre-activations
+            x = rng.integers(-2, 3, (n * seg, d_in)).astype(float)
+            x[rng.random(n * seg) < 0.2] = 0.0
+            base = rng.standard_normal((n, d_out))
+            upstream = rng.uniform(-1, 1, (n, d_out))
+            y = ad.mlp_forward(Tape().const(x), store, "m").value.reshape(n, seg, d_out)
+            ties += int((y == y.max(axis=1, keepdims=True)).sum(axis=1).max() > 1)
+            ad.set_backward_fault(fault)
+            try:
+                fused = _pooled_value_and_grads(
+                    lambda xv, bv: ad.mlp_forward(xv, store, "m", n, bv),
+                    store, x, base, upstream)
+            finally:
+                ad.set_backward_fault(None)
+            composed = _pooled_value_and_grads(
+                lambda xv, bv: oracles.add(
+                    oracles.maxpool_segments(ad.mlp_forward(xv, store, "m"), n), bv),
+                store, x, base, upstream * 1.01 if fault else upstream)
+            for got, want in zip(fused, composed):
+                assert np.array_equal(got, want)
+        assert ties > 20
+
+    def test_records_only_its_input_and_output(self):
+        store = _identity_mlp(3)
+        tape = Tape()
+        ad.mlp_forward(oracles.leaf(tape, np.ones((6, 3))), store, "m", 2,
+                       tape.const(np.zeros((2, 3))))
+        assert len(tape._nodes) == 2
+
+    def test_shape_errors(self):
+        store = _identity_mlp(3)
+        tape = Tape()
+        x = tape.const(np.ones((6, 3)))
+        with pytest.raises(ShapeError, match="not divisible"):
+            ad.mlp_forward(x, store, "m", 4, tape.const(np.zeros((4, 3))))
+        for base in (None, oracles.leaf(tape, np.zeros((2, 3))),
+                     tape.const(np.zeros((3, 3))), tape.const(np.zeros((2, 2)))):
+            with pytest.raises(ShapeError, match="base must be data"):
+                ad.mlp_forward(x, store, "m", 2, base)
+
+
+def _masked_value_and_grads(loss, columns, labels):
+    tape = Tape()
+    vecs = [oracles.leaf(tape, c) for c in columns]
+    out = loss(vecs, labels)
+    tape.backward(out)
+    return [out.value] + [v.grad for v in vecs]
+
+
+class TestMaskedLoss:
+    @pytest.mark.parametrize("views", [1, 2, 3])
+    def test_equals_the_composed_reference_exactly(self, views):
+        rng = np.random.default_rng(26 + views)
+        for _ in range(100):
+            b = int(rng.integers(1, 20))
+            columns = [rng.exponential(size=(b, 1)) for _ in range(views)]
+            labels = (rng.random(b) < 0.6).astype(float)
+            fused = _masked_value_and_grads(ad.masked_loss, columns, labels)
+            composed = _masked_value_and_grads(oracles.composed_masked_loss, columns, labels)
+            for got, want in zip(fused, composed):
+                assert np.array_equal(got, want)
+
+    def test_shape_errors(self):
+        tape = Tape()
+        column = tape.const(np.ones((3, 1)))
+        for vecs, labels in (([column], np.ones(2)), ([column, column], np.ones(4)),
+                             ([tape.const(np.ones((3, 2)))], np.ones(3)),
+                             ([column, tape.const(np.ones((2, 1)))], np.ones(3))):
+            with pytest.raises(ShapeError, match="masked_loss"):
+                ad.masked_loss(vecs, labels)
+
+
 class TestMaxpoolSegmentsScatter:
+    """The reference max-pool the pooled mlp_forward is compared against."""
+
     def test_gradient_equals_add_at_reference(self):
         rng = np.random.default_rng(17)
         x = rng.integers(-2, 3, (12, 5)).astype(float)  # small ints: many ties
         upstream = rng.uniform(-1, 1, (3, 5))
         tape = Tape()
         xv = oracles.leaf(tape, x)
-        out = ad.maxpool_segments(xv, 3)
+        out = oracles.maxpool_segments(xv, 3)
         tape.backward(oracles.vsum(oracles.emul(out, tape.const(upstream))))
 
         expect = np.zeros_like(x)
@@ -777,7 +887,7 @@ class TestDataLeaves:
         tape = Tape()
         x = tape.const(np.ones((2, 3)))
         w = oracles.leaf(tape, np.full((2, 3), 2.0))
-        out = ad.add(x, w)
+        out = ad.concat_cols(x, w)
         assert x.data and not w.data and not out.data
         assert x not in tape._nodes
         tape.backward(oracles.vsum(out))
@@ -785,12 +895,13 @@ class TestDataLeaves:
         assert w.grad.tolist() == [[1.0] * 3] * 2
 
     @pytest.mark.parametrize("op", [
-        lambda a, b: ad.add(a, b),
+        lambda a, b: ad.masked_loss([ad.nce_rows(a, b, 0.1), ad.nce_rows(b, a, 0.1)],
+                                    [1.0, 0.0]),
         lambda a, b: ad.concat_cols(a, b),
         lambda a, b: ad.nce_rows(a, b, 0.1),
         lambda a, b: ad.slice_rows(a, 0, 1),
-        lambda a, b: ad.maxpool_segments(a, 2),
-        lambda a, b: ad.masked_mean(ad.nce_rows(a, b, 0.1), [1.0, 1.0]),
+        lambda a, b: ad.slice_rows(ad.concat_cols(a, b), 1, 2),
+        lambda a, b: ad.masked_loss([ad.nce_rows(a, b, 0.1)], [1.0, 1.0]),
     ])
     def test_op_on_data_alone_records_nothing(self, op):
         tape = Tape()
@@ -802,6 +913,6 @@ class TestDataLeaves:
     def test_loss_on_data_alone_leaves_zero_gradients(self):
         tape = Tape()
         w = oracles.leaf(tape, [[3.0]])
-        loss = ad.add(tape.const([[1.0]]), tape.const([[2.0]]))
+        loss = ad.masked_loss([tape.const([[1.0], [2.0]])], [1.0, 1.0])
         tape.backward(loss)
         assert loss.grad is None and w.grad.tolist() == [[0.0]]

@@ -375,9 +375,11 @@ class TestGradcheck:
         assert main(["gradcheck"]) == EXIT_OK
 
     def test_unknown_fault_op_exits_1(self, capsys):
-        # matmul and relu run inside the fused mlp_forward, and cosine_matrix and
-        # softmax_xent_rows inside nce_rows; the tape records none of them
-        for op in ("typo", "matmul", "relu", "cosine_matrix", "softmax_xent_rows"):
+        # matmul, relu, maxpool_segments and add run inside the fused
+        # mlp_forward, cosine_matrix and softmax_xent_rows inside nce_rows, and
+        # masked_mean and add inside masked_loss; the tape records none of them
+        for op in ("typo", "matmul", "relu", "cosine_matrix", "softmax_xent_rows",
+                   "add", "maxpool_segments", "masked_mean"):
             assert main(["gradcheck", "--inject-fault", op]) == EXIT_USAGE
             captured = capsys.readouterr()
             assert f"invalid choice: '{op}'" in captured.err
@@ -652,3 +654,25 @@ def test_python_dash_m_gradcheck_passes():
     proc = _run_module("noisycir", "gradcheck")
     assert proc.returncode == EXIT_OK, proc.stderr
     assert "PASS" in proc.stdout
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_a_diverged_last_step_fails_instead_of_reporting_perfect_recall(
+        tmp_path, capsys, command):
+    # one step per epoch, so no loss is computed after the step that overflows;
+    # NaN holdout similarities would then rank every target first
+    cfg = tmp_path / "diverge.json"
+    cfg.write_text(json.dumps({
+        "dataset": {**_tiny_config(60, dim=8)["dataset"]},
+        "train": {"epochs": 1, "warmup_epochs": 1, "lr": 1e300, "batch_size": 64}}))
+    data = tmp_path / "diverge.ncld"
+    assert main(["generate", "--config", str(cfg), "--out", str(data)]) == EXIT_OK
+    capsys.readouterr()
+    run = tmp_path / "run"
+    assert main([command, "--config", str(cfg), "--dataset", str(data),
+                 "--out", str(run)]) == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical failure: non-finite holdout similarity")
+    assert captured.err.count("\n") == 1
+    assert "R@1=1.000" not in captured.out
+    assert not run.exists()

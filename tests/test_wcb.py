@@ -39,7 +39,7 @@ def wcb_fuse(tape: Tape, store: ParamStore, name: str,
             f"wcb_fuse: token width {weighted_nonglobal.shape[1]} != {d}")
     x = tape.const(weighted_nonglobal)
     pooled = oracles.maxpool_rows(ad.mlp_forward(x, store, name))
-    return ad.add(pooled, tape.const(global_token.reshape(1, d)))
+    return oracles.add(pooled, tape.const(global_token.reshape(1, d)))
 
 
 def compensate_bundle(tape: Tape, store: ParamStore,
@@ -325,9 +325,9 @@ class TestCompensateAll:
         def f(st):
             tape = Tape()
             t, r, g = compensate_all(tape, st, sample)
-            total = ad.add(ad.add(oracles.vsum(oracles.emul(t, t)),
-                                  oracles.vsum(oracles.emul(r, r))),
-                           oracles.vsum(oracles.emul(g, g)))
+            total = oracles.add(oracles.add(oracles.vsum(oracles.emul(t, t)),
+                                            oracles.vsum(oracles.emul(r, r))),
+                                oracles.vsum(oracles.emul(g, g)))
             return total
 
         report = ad.grad_check(f, store)

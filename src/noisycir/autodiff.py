@@ -18,12 +18,14 @@ that is never replayed costs no more than its forward values. Until
 backward runs, every Var.grad is None. Each backward fills every node's
 gradient afresh.
 
-mlp_forward records a two-layer perceptron as one fused node: it reads its
-weights from a ParamStore, and a single closure back-propagates through both
-layers and the ReLU and adds the weights' gradients straight into the store.
-So parameters and hidden activations get no tape nodes of their own, and a
-second backward adds to the store again. Given row segments, it also
-max-pools its output per segment and adds a data base: the whole WCB block.
+mlp_forward records a two-layer perceptron as one fused node: it reads the
+columns of its inputs side by side and its weights from a ParamStore, and a
+single closure back-propagates through both layers and the ReLU, hands each
+input its column block and adds the weights' gradients straight into the
+store. So concatenation, parameters and hidden activations get no tape nodes
+of their own, and a second backward adds to the store again. Given row
+segments, it also max-pools its output per segment and adds a data base: the
+whole WCB block, and with two inputs the whole fusion block.
 masked_loss is the whole objective, the views' label-masked means summed.
 
 A ParamStore keeps all parameters in one contiguous buffer and all
@@ -57,7 +59,7 @@ _NORM_EPS = 1e-12
 
 # Test hook: when set to one of FAULT_OPS, that op's backward multiplies its
 # gradient by a wrong factor so gradient checks must fail.
-FAULT_OPS = ("concat_cols", "slice_rows", "nce_rows", "masked_loss", "mlp_forward")
+FAULT_OPS = ("slice_rows", "nce_rows", "masked_loss", "mlp_forward")
 _FAULT_OP: str | None = None
 
 
@@ -219,22 +221,6 @@ def _record(out: Var, bw) -> Var:
     return out
 
 
-def concat_cols(a: Var, b: Var) -> Var:
-    if a.shape[0] != b.shape[0]:
-        raise ShapeError(f"concat_cols {a.shape} | {b.shape}")
-    na = a.shape[1]
-    out = Var(_same_tape(a, b), np.concatenate([a.value, b.value], axis=1),
-              a.data and b.data)
-
-    def bw():
-        g = _fault("concat_cols", out.grad)
-        for v, part in ((a, g[:, :na]), (b, g[:, na:])):
-            if not v.data:
-                v.grad += part
-
-    return _record(out, bw)
-
-
 def slice_rows(a: Var, start: int, stop: int) -> Var:
     out = Var(a.tape, a.value[start:stop], a.data)
 
@@ -290,18 +276,23 @@ def masked_loss(vecs: list[Var], weights) -> Var:
     return _record(out, bw)
 
 
-def mlp_forward(x: Var, store: ParamStore, name: str, segments: int = 0,
+def mlp_forward(xs: list[Var], store: ParamStore, name: str, segments: int = 0,
                 base: Var | None = None) -> Var:
-    """Two-layer perceptron: linear -> ReLU -> linear, parameters from store.
-    With segments, the column-wise max over that many equal row segments (ties
-    to the lowest row) plus base, a data leaf of the pooled shape. One tape
-    node; its backward routes a pooled gradient to the argmax rows and adds
-    the parameters' gradients into store.grads."""
+    """Two-layer perceptron: linear -> ReLU -> linear, parameters from store,
+    over the columns of xs side by side (inputs of one row count). With
+    segments, the column-wise max over that many equal row segments (ties to
+    the lowest row) plus base, a data leaf of the pooled shape. One tape node;
+    its backward routes a pooled gradient to the argmax rows and adds the
+    parameters' gradients into store.grads."""
     w1, b1, w2, b2 = (store.params[f"{name}.{p}"] for p in ("W1", "b1", "W2", "b2"))
     gw1, gb1, gw2, gb2 = (store.grads[f"{name}.{p}"] for p in ("W1", "b1", "W2", "b2"))
+    if any(a.shape[0] != xs[0].shape[0] for a in xs):
+        raise ShapeError(f"MLP {name}: inputs of unequal row counts {[a.shape for a in xs]}")
+    x = xs[0].value if len(xs) == 1 else np.concatenate([a.value for a in xs], axis=1)
     if x.shape[1] != w1.shape[0]:
         raise ShapeError(f"MLP {name}: input width {x.shape[1]} != {w1.shape[0]}")
-    h = x.value @ w1
+    tape = _same_tape(*xs)
+    h = x @ w1
     np.maximum(np.add(h, b1, out=h), 0.0, out=h)  # bias and ReLU in place
     y = h @ w2
     y += b2
@@ -312,9 +303,9 @@ def mlp_forward(x: Var, store: ParamStore, name: str, segments: int = 0,
         if base is None or not base.data or base.shape != (segments, cols):
             raise ShapeError(f"MLP {name}: base must be data of shape {(segments, cols)}")
         v = y.reshape(segments, rows // segments, cols)
-        out = Var(x.tape, v.max(axis=1) + base.value)
+        out = Var(tape, v.max(axis=1) + base.value)
     else:
-        out = Var(x.tape, y)  # never data: the parameters take gradients
+        out = Var(tape, y)  # never data: the parameters take gradients
 
     def bw():
         g = _fault("mlp_forward", out.grad)
@@ -327,9 +318,13 @@ def mlp_forward(x: Var, store: ParamStore, name: str, segments: int = 0,
         gw2[...] += h.T @ g
         g = (g @ w2.T) * (h > 0.0)
         gb1[...] += g.sum(axis=0, keepdims=True)
-        if not x.data:
-            x.grad += g @ w1.T
-        gw1[...] += x.value.T @ g
+        if not all(a.data for a in xs):
+            gx, start = g @ w1.T, 0
+            for a in xs:
+                if not a.data:
+                    a.grad += gx[:, start:start + a.shape[1]]
+                start += a.shape[1]
+        gw1[...] += x.T @ g
 
     out._backward = bw
     return out

@@ -52,12 +52,10 @@ def _csv(rows: list[dict], columns: list[str]) -> str:
 
 
 def _check_out(args) -> None:
-    """Refuse an --out the command could not write, creating nothing: it must
-    not be empty, the directory of generate's file must exist, and the nearest
-    existing ancestor of train's and ablate's directory must be a directory."""
+    """Refuse an --out the command could not write, creating nothing: the
+    directory of generate's file must exist, and the nearest existing
+    ancestor of train's and ablate's directory must be a directory."""
     out = args.out
-    if not out:
-        raise OSError("--out is empty")
     if args.command == "generate":
         if os.path.isdir(out):
             raise OSError(f"--out {out} is a directory")
@@ -277,6 +275,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        if getattr(args, "out", None) == "":  # never the working directory
+            raise OSError("--out is empty")
         with np.errstate(all="ignore"):  # the explicit non-finite checks decide exit 4
             return args.func(args)
     except ConfigError as exc:

@@ -4,7 +4,7 @@ disk."""
 
 import dataclasses
 import json
-import math
+import sys
 
 
 class ShapeError(ValueError):
@@ -44,13 +44,13 @@ def parse_json(data: bytes, error: type[Exception], what: str):
 
 
 def check_field_types(config) -> None:
-    """Reject a field whose value is not of its default's JSON type, a
-    non-finite float and a negative seed."""
+    """Reject a field whose value is not of its default's JSON type, a float
+    that is not finite or an integer too large for one, and a negative seed."""
     for f in dataclasses.fields(config):
         value, kind = getattr(config, f.name), type(f.default)
         if not is_json_type(value, kind):
             raise ConfigError(f"{f.name} must be a JSON {kind.__name__}, got {value!r}")
-        if kind is float and not math.isfinite(value):
+        if kind is float and not abs(value) <= sys.float_info.max:  # also NaN
             raise ConfigError(f"{f.name} must be finite, got {value!r}")
     if config.seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {config.seed!r}")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fusion, nfb
-from .autodiff import (ParamStore, Tape, Var, cosine_values, slice_rows,
+from .autodiff import (ParamStore, Tape, Var, cosine_values, masked_loss, slice_rows,
                        xent_values)
 from .errors import (ConfigError, DegenerateInputError, NumericalError,
                      check_field_types)
@@ -290,7 +290,7 @@ def train_epoch(store: ParamStore, optimizer: Adam, samples: Dataset,
                 labels = fit(chunk, [v.value[:, 0] for v in vecs])
             else:
                 labels = pair_labels[chunk]
-            loss = fusion.masked_loss(vecs, labels)
+            loss = masked_loss(vecs, labels)
             if not np.isfinite(loss.value).all():
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch} batch {batch_no}; "

@@ -31,5 +31,5 @@ def compensate_batch(tape: Tape, store: ParamStore, bundles: TokenBundle, name: 
     # weight only the non-global rows: a slice when the global row is first or last
     keep = slice(1, None) if gi == 0 else slice(0, gi) if gi == n - 1 else np.arange(n) != gi
     rows = (bundles.attention[..., keep, None] * bundles.tokens[..., keep, :]).reshape(-1, d)
-    return ad.mlp_forward(tape.const(rows), store, name, math.prod(bundles.tokens.shape[:-2]),
+    return ad.mlp_forward([tape.const(rows)], store, name, math.prod(bundles.tokens.shape[:-2]),
                           tape.const(bundles.global_token().reshape(-1, d)))

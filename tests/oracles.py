@@ -10,10 +10,12 @@ ops replaced; no code in the package calls them. add, maxpool_segments and
 masked_mean are the ops the WCB and the objective were recorded with before
 autodiff.mlp_forward took over the max-pool and the global add, and
 autodiff.masked_loss the label-masked means and their sum
-(composed_masked_loss); add_bias is add's (1, n) row-bias form. Each keeps
-its fault hook, so gradient-check tests can plant a fault in it, except
-cosine_matrix and softmax_xent_rows: the two ops, without their hooks, that
-autodiff.nce_rows was composed of before it became one op.
+(composed_masked_loss); add_bias is add's (1, n) row-bias form. concat_cols
+is the op a query's text and image were joined with before mlp_forward read
+a list of inputs side by side. Each keeps its fault hook, so gradient-check
+tests can plant a fault in it, except cosine_matrix and softmax_xent_rows:
+the two ops, without their hooks, that autodiff.nce_rows was composed of
+before it became one op.
 
 taped_epoch_losses is the trainer's epoch-scope loss pass as it ran before
 its losses were stacked: one forward_batch and one nce_per_sample per chunk.
@@ -61,7 +63,7 @@ from noisycir.autodiff import (_ABS_FLOOR, _ABS_TOL, _NORM_EPS, _STEP, _TOL, Gra
                                ParamStore, Tape, Var, _fault, _record, _same_tape)
 from noisycir.errors import NumericalError, ShapeError
 from noisycir.evaluation import recall_from_similarity
-from noisycir.fusion import masked_loss, nce_per_sample
+from noisycir.fusion import nce_per_sample
 from noisycir.synth import (_DISTRACTOR_RAW, TRUTH_CLEAN, TRUTH_MISMATCHED,
                             TRUTH_PARTIAL, DatasetSpec, TokenBundle,
                             TripletSample, make_concepts)
@@ -207,6 +209,22 @@ def add(a: Var, b: Var) -> Var:
     return _record(out, bw)
 
 
+def concat_cols(a: Var, b: Var) -> Var:
+    """a and b side by side, for inputs of one row count."""
+    if a.shape[0] != b.shape[0]:
+        raise ShapeError(f"concat_cols {a.shape} | {b.shape}")
+    na = a.shape[1]
+    out = Var(_same_tape(a, b), np.concatenate([a.value, b.value], axis=1),
+              a.data and b.data)
+
+    def bw():
+        g = _fault("concat_cols", out.grad)
+        for v, part in ((a, g[:, :na]), (b, g[:, na:])):
+            _add_grad(v, part)
+
+    return _record(out, bw)
+
+
 def maxpool_segments(a: Var, n_segments: int) -> Var:
     """Max over rows within each of n equal-height row segments.
 
@@ -245,7 +263,7 @@ def masked_mean(v: Var, weights: np.ndarray) -> Var:
 
 
 def composed_masked_loss(vecs: list[Var], weights) -> Var:
-    """The objective as fusion.masked_loss composed it before autodiff.masked_loss:
+    """The objective as fusion composed it before autodiff.masked_loss:
     one masked_mean per view, summed by add in list order."""
     total = masked_mean(vecs[0], weights)
     for v in vecs[1:]:
@@ -334,7 +352,7 @@ def step_grads(tape: Tape, store: ParamStore, batch, labels: np.ndarray,
     store.zero_grads()
     with tape:
         views = trainer.forward_batch(tape, store, batch, enable_wcb=True)
-        tape.backward(masked_loss([nce_per_sample(q, t, tau) for q, t in views], labels))
+        tape.backward(ad.masked_loss([nce_per_sample(q, t, tau) for q, t in views], labels))
     return store.flat_grads.copy()
 
 
@@ -425,7 +443,7 @@ def compensate_batch(tape: Tape, store: ParamStore, bundles: list[TokenBundle],
                      name: str) -> Var:
     """Compensated (B, d) rows of a list of B bundles."""
     rows, global_tokens = token_rows(bundles)
-    pooled = maxpool_segments(ad.mlp_forward(tape.const(rows), store, name), len(bundles))
+    pooled = maxpool_segments(ad.mlp_forward([tape.const(rows)], store, name), len(bundles))
     return add(pooled, tape.const(global_tokens))
 
 

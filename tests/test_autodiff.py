@@ -174,7 +174,7 @@ class TestMlpForward:
         store.add("m.W2", np.zeros((4, 4)))
         store.add("m.b2", np.zeros((1, 4)))
         tape = Tape()
-        out = ad.mlp_forward(tape.const(np.random.default_rng(5).uniform(size=(3, 4))),
+        out = ad.mlp_forward([tape.const(np.random.default_rng(5).uniform(size=(3, 4)))],
                              store, "m")
         assert np.array_equal(out.value, np.zeros((3, 4)))
 
@@ -186,21 +186,21 @@ class TestMlpForward:
         store.add("m.b2", np.zeros((1, 4)))
         x = np.abs(np.random.default_rng(6).uniform(size=(3, 4)))
         tape = Tape()
-        out = ad.mlp_forward(tape.const(x), store, "m")
+        out = ad.mlp_forward([tape.const(x)], store, "m")
         assert np.allclose(out.value, x, atol=1e-15)
 
     def test_unknown_name(self):
         store = ParamStore()
         tape = Tape()
         with pytest.raises(KeyError):
-            ad.mlp_forward(tape.const(np.ones((1, 4))), store, "nope")
+            ad.mlp_forward([tape.const(np.ones((1, 4)))], store, "nope")
 
     def test_width_mismatch(self):
         store = ParamStore()
         store.init_mlp("m", 4, 4, 4, np.random.default_rng(7))
         tape = Tape()
         with pytest.raises(ShapeError):
-            ad.mlp_forward(tape.const(np.ones((1, 5))), store, "m")
+            ad.mlp_forward([tape.const(np.ones((1, 5)))], store, "m")
 
     def test_gradient_all_weights(self):
         rng = np.random.default_rng(8)
@@ -210,7 +210,7 @@ class TestMlpForward:
 
         def f(st):
             tape = Tape()
-            out = ad.mlp_forward(tape.const(x), st, "m")
+            out = ad.mlp_forward([tape.const(x)], st, "m")
             return oracles.vsum(oracles.emul(out, out))
 
         assert_grads_match(f, store)
@@ -253,7 +253,7 @@ class TestMaxpoolRows:
         rng = np.random.default_rng(10)
         x = rng.uniform(0, 1, (12, 5))
         tape = Tape()
-        seg = ad.mlp_forward(tape.const(x), _identity_mlp(5), "m", 3,
+        seg = ad.mlp_forward([tape.const(x)], _identity_mlp(5), "m", 3,
                              tape.const(np.zeros((3, 5))))
         rows = [oracles.maxpool_rows(tape.const(x[i * 4:(i + 1) * 4]))
                 for i in range(3)]
@@ -262,7 +262,7 @@ class TestMaxpoolRows:
     def test_segments_tie_routes_to_lowest_row(self):
         tape = Tape()
         x = oracles.leaf(tape, [[2.0, 1.0], [2.0, 0.0], [0.0, 4.0], [3.0, 4.0]])
-        out = ad.mlp_forward(x, _identity_mlp(2), "m", 2, tape.const(np.zeros((2, 2))))
+        out = ad.mlp_forward([x], _identity_mlp(2), "m", 2, tape.const(np.zeros((2, 2))))
         assert out.value.tolist() == [[2.0, 1.0], [3.0, 4.0]]
         tape.backward(oracles.vsum(out))
         assert x.grad.tolist() == [[1.0, 1.0], [0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
@@ -483,21 +483,28 @@ class TestProperties:
 
 
 def _every_op_loss(tape, store):
-    """A scalar loss that passes through every op the training step records."""
+    """A scalar loss that passes through every op the training step records:
+    a pooled MLP "m" and a two-input MLP "f", as the WCB and the fusion."""
     rng = np.random.default_rng(14)
     x, base = tape.const(rng.uniform(-1, 1, (8, 4))), tape.const(rng.uniform(-1, 1, (4, 4)))
-    pooled = ad.mlp_forward(x, store, "m", 4, base)
-    q = ad.concat_cols(ad.slice_rows(pooled, 0, 2), ad.slice_rows(pooled, 2, 4))
-    t = ad.concat_cols(ad.slice_rows(pooled, 2, 4), ad.slice_rows(pooled, 0, 2))
-    return ad.masked_loss([ad.nce_rows(q, t, 0.5), ad.nce_rows(t, q, 0.5)],
+    pooled = ad.mlp_forward([x], store, "m", 4, base)
+    top, bottom = ad.slice_rows(pooled, 0, 2), ad.slice_rows(pooled, 2, 4)
+    q = ad.mlp_forward([top, bottom], store, "f")
+    return ad.masked_loss([ad.nce_rows(q, bottom, 0.5), ad.nce_rows(bottom, q, 0.5)],
                           np.array([1.0, 0.5]))
+
+
+def _every_op_store(seed):
+    store = ParamStore()
+    rng = np.random.default_rng(seed)
+    store.init_mlp("m", 4, 5, 4, rng)
+    store.init_mlp("f", 8, 5, 4, rng)
+    return store
 
 
 class TestLeanTape:
     def _store(self):
-        store = ParamStore()
-        store.init_mlp("m", 4, 5, 4, np.random.default_rng(15))
-        return store
+        return _every_op_store(15)
 
     def test_tape_never_replayed_allocates_no_gradients(self):
         tape = Tape()
@@ -517,9 +524,7 @@ class TestLeanTape:
 
 class TestBackwardFillsTheStore:
     def _store(self):
-        store = ParamStore()
-        store.init_mlp("m", 4, 5, 4, np.random.default_rng(21))
-        return store
+        return _every_op_store(21)
 
     def test_one_backward_leaves_finite_difference_gradients_in_the_store(self):
         store = self._store()
@@ -610,7 +615,7 @@ class TestMlpAppliedTwice:
     def _loss(tape, store, xs):
         total = None
         for x in xs:
-            out = ad.mlp_forward(tape.const(x), store, "m")
+            out = ad.mlp_forward([tape.const(x)], store, "m")
             term = oracles.vsum(oracles.emul(out, out))
             total = term if total is None else oracles.add(total, term)
         return total
@@ -667,7 +672,8 @@ class TestFusedMlp:
         store, x, weights = _mlp_case()
         ad.set_backward_fault(fault)
         try:
-            fused = _mlp_value_and_grads(ad.mlp_forward, store, x, weights)
+            fused = _mlp_value_and_grads(lambda xv, st, name: ad.mlp_forward([xv], st, name),
+                                         store, x, weights)
         finally:
             ad.set_backward_fault(None)
         upstream = weights * 1.01 if fault else weights
@@ -683,7 +689,7 @@ class TestFusedMlp:
     def test_records_only_its_input_and_output(self):
         store, x, _ = _mlp_case()
         tape = Tape()
-        ad.mlp_forward(oracles.leaf(tape, x), store, "m")
+        ad.mlp_forward([oracles.leaf(tape, x)], store, "m")
         assert len(tape._nodes) == 2
 
 
@@ -714,18 +720,18 @@ class TestPooledMlp:
             x[rng.random(n * seg) < 0.2] = 0.0
             base = rng.standard_normal((n, d_out))
             upstream = rng.uniform(-1, 1, (n, d_out))
-            y = ad.mlp_forward(Tape().const(x), store, "m").value.reshape(n, seg, d_out)
+            y = ad.mlp_forward([Tape().const(x)], store, "m").value.reshape(n, seg, d_out)
             ties += int((y == y.max(axis=1, keepdims=True)).sum(axis=1).max() > 1)
             ad.set_backward_fault(fault)
             try:
                 fused = _pooled_value_and_grads(
-                    lambda xv, bv: ad.mlp_forward(xv, store, "m", n, bv),
+                    lambda xv, bv: ad.mlp_forward([xv], store, "m", n, bv),
                     store, x, base, upstream)
             finally:
                 ad.set_backward_fault(None)
             composed = _pooled_value_and_grads(
                 lambda xv, bv: oracles.add(
-                    oracles.maxpool_segments(ad.mlp_forward(xv, store, "m"), n), bv),
+                    oracles.maxpool_segments(ad.mlp_forward([xv], store, "m"), n), bv),
                 store, x, base, upstream * 1.01 if fault else upstream)
             for got, want in zip(fused, composed):
                 assert np.array_equal(got, want)
@@ -734,7 +740,7 @@ class TestPooledMlp:
     def test_records_only_its_input_and_output(self):
         store = _identity_mlp(3)
         tape = Tape()
-        ad.mlp_forward(oracles.leaf(tape, np.ones((6, 3))), store, "m", 2,
+        ad.mlp_forward([oracles.leaf(tape, np.ones((6, 3)))], store, "m", 2,
                        tape.const(np.zeros((2, 3))))
         assert len(tape._nodes) == 2
 
@@ -743,11 +749,72 @@ class TestPooledMlp:
         tape = Tape()
         x = tape.const(np.ones((6, 3)))
         with pytest.raises(ShapeError, match="not divisible"):
-            ad.mlp_forward(x, store, "m", 4, tape.const(np.zeros((4, 3))))
+            ad.mlp_forward([x], store, "m", 4, tape.const(np.zeros((4, 3))))
         for base in (None, oracles.leaf(tape, np.zeros((2, 3))),
                      tape.const(np.zeros((3, 3))), tape.const(np.zeros((2, 2)))):
             with pytest.raises(ShapeError, match="base must be data"):
-                ad.mlp_forward(x, store, "m", 2, base)
+                ad.mlp_forward([x], store, "m", 2, base)
+
+
+def _two_input_value_and_grads(join, store, xs, leaves, segments, base, upstream):
+    """Value, the store's gradients and each input's gradient (None for data)
+    of mlp_forward(join(inputs)) . upstream; an input is a leaf where leaves
+    says so, else data."""
+    store.zero_grads()
+    tape = Tape()
+    vs = [oracles.leaf(tape, x) if leaf else tape.const(x) for x, leaf in zip(xs, leaves)]
+    out = ad.mlp_forward(join(vs), store, "m", segments, tape.const(base) if segments else None)
+    tape.backward(oracles.vsum(oracles.emul(out, tape.const(upstream))))
+    return [out.value, store.flat_grads.copy()] + [v.grad for v in vs]
+
+
+class TestTwoInputMlp:
+    @pytest.mark.parametrize("pooled", [False, True], ids=["plain", "pooled"])
+    @pytest.mark.parametrize("fault", [None, "mlp_forward"])
+    @pytest.mark.parametrize("leaves", [(True, True), (False, True), (True, False),
+                                        (False, False)],
+                             ids=["leaf-leaf", "data-leaf", "leaf-data", "data-data"])
+    def test_equals_the_mlp_of_the_concatenated_columns_exactly(self, leaves, fault, pooled):
+        # the fault hook, when set, scales both sides' gradients alike
+        rng = np.random.default_rng(27)
+        for _ in range(40):
+            n, seg = int(rng.integers(1, 6)), int(rng.integers(1, 4)) if pooled else 1
+            d_a, d_b, hidden, d_out = (int(k) for k in rng.integers(1, 6, 4))
+            store = ParamStore()
+            store.init_mlp("m", d_a + d_b, hidden, d_out, rng)
+            xs = [rng.standard_normal((n * seg, d)) for d in (d_a, d_b)]
+            for x in xs:
+                x[rng.random(x.shape) < 0.2] = 0.0
+            base = rng.standard_normal((n, d_out))
+            upstream = rng.uniform(-1, 1, (n if pooled else n * seg, d_out))
+            case = (store, xs, leaves, n if pooled else 0, base, upstream)
+            ad.set_backward_fault(fault)
+            try:
+                fused = _two_input_value_and_grads(lambda vs: vs, *case)
+                joined = _two_input_value_and_grads(
+                    lambda vs: [oracles.concat_cols(*vs)], *case)
+            finally:
+                ad.set_backward_fault(None)
+            assert fused[1].any()
+            for leaf, got, want in zip((True, True, *leaves), fused, joined):
+                if leaf:
+                    assert np.array_equal(got, want)
+                else:
+                    assert got is None and want is None
+
+    def test_shape_errors(self):
+        store = ParamStore()
+        store.init_mlp("m", 5, 3, 2, np.random.default_rng(28))
+        tape = Tape()
+        with pytest.raises(ShapeError, match="unequal row counts"):
+            ad.mlp_forward([tape.const(np.ones((3, 2))), tape.const(np.ones((4, 3)))],
+                           store, "m")
+        with pytest.raises(ShapeError, match="input width 4 != 5"):
+            ad.mlp_forward([tape.const(np.ones((3, 2))), tape.const(np.ones((3, 2)))],
+                           store, "m")
+        with pytest.raises(ShapeError, match="different tapes"):
+            ad.mlp_forward([tape.const(np.ones((3, 2))), Tape().const(np.ones((3, 3)))],
+                           store, "m")
 
 
 def _masked_value_and_grads(loss, columns, labels):
@@ -887,7 +954,7 @@ class TestDataLeaves:
         tape = Tape()
         x = tape.const(np.ones((2, 3)))
         w = oracles.leaf(tape, np.full((2, 3), 2.0))
-        out = ad.concat_cols(x, w)
+        out = ad.mlp_forward([x, w], _identity_mlp(6), "m")  # identity on x | w
         assert x.data and not w.data and not out.data
         assert x not in tape._nodes
         tape.backward(oracles.vsum(out))
@@ -897,10 +964,10 @@ class TestDataLeaves:
     @pytest.mark.parametrize("op", [
         lambda a, b: ad.masked_loss([ad.nce_rows(a, b, 0.1), ad.nce_rows(b, a, 0.1)],
                                     [1.0, 0.0]),
-        lambda a, b: ad.concat_cols(a, b),
+        lambda a, b: oracles.concat_cols(a, b),
         lambda a, b: ad.nce_rows(a, b, 0.1),
         lambda a, b: ad.slice_rows(a, 0, 1),
-        lambda a, b: ad.slice_rows(ad.concat_cols(a, b), 1, 2),
+        lambda a, b: ad.slice_rows(oracles.concat_cols(a, b), 1, 2),
         lambda a, b: ad.masked_loss([ad.nce_rows(a, b, 0.1)], [1.0, 1.0]),
     ])
     def test_op_on_data_alone_records_nothing(self, op):

@@ -134,6 +134,22 @@ class TestGenerate:
         assert "too large" in _assert_one_line_error(capsys, "config error: ").err
         assert not out.exists()
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("train", "lr", 10**400),
+        ("train", "temperature", -10**400),
+        ("dataset", "mismatch_rate", 10**400),
+    ], ids=["lr-1e400", "temperature-minus-1e400", "mismatch_rate-1e400"])
+    def test_float_field_too_large_for_a_float_exits_1(self, tmp_path, capsys,
+                                                       section, key, value):
+        # an integer past the largest float is refused as not finite, not
+        # converted by a check that would overflow
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps({**SMALL, section: {**SMALL[section], key: value}}))
+        out = tmp_path / "d.ncld"
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        _assert_one_line_error(capsys, f"config error: {key} must be finite")
+        assert not out.exists()
+
     def test_dataset_that_does_not_fit_in_memory_exits_1(self, config_path, tmp_path,
                                                           capsys, monkeypatch):
         def no_memory(spec):
@@ -328,10 +344,11 @@ class TestCorruptHeader:
         _header_edit(lambda h: h.update(n_samples=h["n_samples"] - 1)),
         _header_edit(lambda h: b"[" * DEEP + b"]" * DEEP),
         _header_edit(lambda h: h["spec"].update(image_patches=10**400)),
+        _header_edit(lambda h: h["spec"].update(noise_scale=10**400)),
     ], ids=["byte-12-0xff", "offsets-removed", "unknown-spec-key", "dim-64",
             "negative-offset", "dim-16", "unknown-truth", "fractional-truth",
             "n-samples-plus-one", "n-samples-minus-one", "nested-too-deep",
-            "image-patches-1e400"])
+            "image-patches-1e400", "noise-scale-1e400"])
     def test_train_exits_3_without_traceback(self, tmp_path, corrupt, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"dataset": {"num_triplets": 10, "seed": 1}}))
@@ -375,11 +392,12 @@ class TestGradcheck:
         assert main(["gradcheck"]) == EXIT_OK
 
     def test_unknown_fault_op_exits_1(self, capsys):
-        # matmul, relu, maxpool_segments and add run inside the fused
-        # mlp_forward, cosine_matrix and softmax_xent_rows inside nce_rows, and
-        # masked_mean and add inside masked_loss; the tape records none of them
-        for op in ("typo", "matmul", "relu", "cosine_matrix", "softmax_xent_rows",
-                   "add", "maxpool_segments", "masked_mean"):
+        # concat_cols, matmul, relu, maxpool_segments and add run inside the
+        # fused mlp_forward, cosine_matrix and softmax_xent_rows inside
+        # nce_rows, and masked_mean and add inside masked_loss; the tape
+        # records none of them
+        for op in ("typo", "concat_cols", "matmul", "relu", "cosine_matrix",
+                   "softmax_xent_rows", "add", "maxpool_segments", "masked_mean"):
             assert main(["gradcheck", "--inject-fault", op]) == EXIT_USAGE
             captured = capsys.readouterr()
             assert f"invalid choice: '{op}'" in captured.err
@@ -594,9 +612,11 @@ def test_config_outside_the_schema_exits_1_without_traceback(tmp_path, capsys, r
     ("generate", ""),
     ("train", ""),
     ("ablate", ""),
+    # report once read the working directory's run for ""
+    ("report", ""),
 ], ids=["train-under-file", "ablate-under-file", "train-onto-file",
         "generate-no-dir", "generate-under-file", "generate-onto-dir",
-        "generate-empty", "train-empty", "ablate-empty"])
+        "generate-empty", "train-empty", "ablate-empty", "report-empty"])
 def test_unusable_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
                                               config_path, command, out):
     def no_work(*args, **kwargs):
@@ -606,10 +626,13 @@ def test_unusable_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
         monkeypatch.setattr(cli, name, no_work)
     (tmp_path / "afile").write_bytes(b"x")
     (tmp_path / "adir").mkdir()
+    (tmp_path / "summary.csv").write_text("epoch\n1\n")  # a run in the working directory
     before = sorted(p.name for p in tmp_path.rglob("*"))
     monkeypatch.chdir(tmp_path)
-    argv = [command, "--config", config_path, "--out", out]
-    if command != "generate":
+    argv = [command, "--out", out]
+    if command != "report":
+        argv += ["--config", config_path]
+    if command in ("train", "ablate"):
         argv += ["--dataset", "data.ncld"]
     assert main(argv) == EXIT_IO
     err = _assert_one_line_error(capsys, "i/o error: ").err

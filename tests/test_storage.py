@@ -255,8 +255,9 @@ def test_code_views_equal_each_sample_before_and_after_a_round_trip(tmp_path):
     lambda h: h.pop("kind"),
     lambda h: h.update(kind="weights"),
     lambda h: [h],
+    lambda h: h["spec"].update(noise_scale=10**400),  # an int past the largest float
 ], ids=["n-samples-negative", "n-samples-bool", "stale-payload-bytes",
-        "no-kind", "wrong-kind", "not-an-object"])
+        "no-kind", "wrong-kind", "not-an-object", "spec-float-overflow"])
 def test_bad_dataset_header_raises_data_format_error(dataset_file, mutate):
     _, path = dataset_file
     rewrite_header(path, mutate)

@@ -38,7 +38,7 @@ def wcb_fuse(tape: Tape, store: ParamStore, name: str,
         raise ShapeError(
             f"wcb_fuse: token width {weighted_nonglobal.shape[1]} != {d}")
     x = tape.const(weighted_nonglobal)
-    pooled = oracles.maxpool_rows(ad.mlp_forward(x, store, name))
+    pooled = oracles.maxpool_rows(ad.mlp_forward([x], store, name))
     return oracles.add(pooled, tape.const(global_token.reshape(1, d)))
 
 

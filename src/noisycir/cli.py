@@ -8,7 +8,9 @@ Exit codes are a stable contract:
     degenerate split).
 All outputs are written atomically (temp file + rename) so a failing
 command never leaves a partial artifact behind. An unusable --out exits 2
-before any work; train and ablate create --out once training has succeeded.
+before anything else is read; train and ablate create --out once training
+has succeeded. A config is read by _load_config alone: its keys are checked
+before its values, which the config dataclasses check when they are built.
 """
 
 from __future__ import annotations
@@ -24,14 +26,13 @@ import numpy as np
 
 from . import autodiff as ad
 from . import fusion
-from .config import RunConfig, load_run_config
 from .errors import (ConfigError, DataFormatError, DegenerateInputError, NumericalError,
                      parse_json)
 from .storage import _atomic_write, read_dataset, write_dataset, write_weights
 from .synth import TRUTHS, DatasetSpec, generate_dataset
-from .trainer import (ABLATION_VARIANTS, RECALL_KS, FilterReportRow, forward_batch,
-                      init_params, run_ablation, run_training, split_dataset,
-                      variant_config)
+from .trainer import (ABLATION_VARIANTS, RECALL_KS, FilterReportRow, TrainConfig,
+                      forward_batch, init_params, run_ablation, run_training,
+                      split_dataset, variant_config)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -52,10 +53,12 @@ def _csv(rows: list[dict], columns: list[str]) -> str:
 
 
 def _check_out(args) -> None:
-    """Refuse an --out the command could not write, creating nothing: the
-    directory of generate's file must exist, and the nearest existing
-    ancestor of train's and ablate's directory must be a directory."""
+    """Refuse an empty --out, or one the command could not use, creating nothing:
+    the directory of generate's file must exist, and the nearest existing
+    ancestor of any other command's directory must be a directory."""
     out = args.out
+    if not out:  # never the working directory
+        raise OSError("--out is empty")
     if args.command == "generate":
         if os.path.isdir(out):
             raise OSError(f"--out {out} is a directory")
@@ -68,27 +71,44 @@ def _check_out(args) -> None:
         raise OSError(f"--out {out}: {where} is not a directory")
 
 
-def _load_config(args) -> RunConfig:
-    """--config with --seed and --variant applied, once --out is checked."""
-    cfg = load_run_config(args.config)
-    _check_out(args)
-    train = cfg.train
-    dataset = cfg.dataset
-    if getattr(args, "seed", None) is not None:
+_SECTIONS = {"dataset": DatasetSpec, "train": TrainConfig}
+
+
+def _object(raw, known, what: str) -> dict:
+    """raw, if it is a JSON object whose keys are all in known."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    unknown = set(raw) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {what}: {sorted(unknown)}")
+    return raw
+
+
+def _load_config(args) -> tuple[DatasetSpec, TrainConfig]:
+    """--config's dataset and train sections, then --seed and --variant. The
+    root holds at most the two sections, missing keys take their defaults,
+    and the keys of both are checked before either section is built."""
+    with open(args.config, "rb") as fh:
+        raw = _object(parse_json(fh.read(), ConfigError, "config is not valid JSON"),
+                      _SECTIONS, "config root")
+    sections = {name: _object(raw.get(name, {}), [f.name for f in dataclasses.fields(cls)],
+                              f"'{name}' section") for name, cls in _SECTIONS.items()}
+    dataset, train = DatasetSpec(**sections["dataset"]), TrainConfig(**sections["train"])
+    if args.seed is not None:
         train = dataclasses.replace(train, seed=args.seed)
         dataset = dataclasses.replace(dataset, seed=args.seed)
     if getattr(args, "variant", None) is not None:  # argparse has checked the name
         train = variant_config(train, args.variant)
-    return RunConfig(dataset=dataset, train=train)
+    return dataset, train
 
 
 def cmd_generate(args) -> int:
-    cfg = _load_config(args)
-    samples = generate_dataset(cfg.dataset)
-    write_dataset(samples, cfg.dataset, args.out)
+    spec, _train = _load_config(args)
+    samples = generate_dataset(spec)
+    write_dataset(samples, spec, args.out)
     counts = np.bincount(samples.truth_codes.astype(np.intp), minlength=len(TRUTHS))
     print(f"wrote {len(samples)} triplets to {args.out}")
-    print(f"spec: {dataclasses.asdict(cfg.dataset)}")
+    print(f"spec: {dataclasses.asdict(spec)}")
     for truth, count in zip(TRUTHS, counts.tolist()):
         print(f"  {truth}: {count} ({count / len(samples):.1%})")
     return EXIT_OK
@@ -118,18 +138,17 @@ def _small_eval_notes(n_eval: int) -> list[str]:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config(args)
-    samples, spec = read_dataset(args.dataset)
-    cfg = dataclasses.replace(cfg, dataset=spec)  # record the data trained on
+    train = _load_config(args)[1]
+    samples, spec = read_dataset(args.dataset)  # the run records the data trained on
 
     notes = []
-    if not cfg.train.enable_nfb:
+    if not train.enable_nfb:
         notes.append("filter disabled")
         print("filter disabled")
-    if not cfg.train.enable_wcb:
+    if not train.enable_wcb:
         notes.append("weight compensation disabled")
 
-    result = run_training(samples, cfg.train)
+    result = run_training(samples, train)
     notes += _small_eval_notes(len(result.eval_indices))
     os.makedirs(args.out, exist_ok=True)
 
@@ -138,15 +157,16 @@ def cmd_train(args) -> int:
                        "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
     _atomic_write_text(os.path.join(args.out, "summary.csv"),
                        _csv(rows, _SUMMARY_COLUMNS))
-    if cfg.train.enable_nfb:
+    if train.enable_nfb:
         _atomic_write_text(os.path.join(args.out, "filter_report.csv"),
                            _csv([dataclasses.asdict(r) for r in result.filter_rows],
                                 _FILTER_COLUMNS))
     write_weights(result.store, os.path.join(args.out, "weights.nclw"),
-                  extra={"train": dataclasses.asdict(cfg.train)})
+                  extra={"train": dataclasses.asdict(train)})
     _atomic_write_text(os.path.join(args.out, "run_meta.json"),
-                       json.dumps({"config": dataclasses.asdict(cfg), "notes": notes,
-                                   "n_train": len(result.train_indices),
+                       json.dumps({"config": {"dataset": dataclasses.asdict(spec),
+                                              "train": dataclasses.asdict(train)},
+                                   "notes": notes, "n_train": len(result.train_indices),
                                    "n_eval": len(result.eval_indices)},
                                   sort_keys=True, indent=2) + "\n")
     if result.records:
@@ -160,11 +180,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg = _load_config(args)
+    train = _load_config(args)[1]
     samples, _spec = read_dataset(args.dataset)
-    rows = run_ablation(samples, cfg.train)
+    rows = run_ablation(samples, train)
     # every variant trains on the same split
-    _small_eval_notes(len(split_dataset(samples, cfg.train)[1]))
+    _small_eval_notes(len(split_dataset(samples, train)[1]))
     os.makedirs(args.out, exist_ok=True)
     _atomic_write_text(os.path.join(args.out, "ablation.csv"),
                        _csv(rows, _ABLATION_COLUMNS))
@@ -275,8 +295,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        if getattr(args, "out", None) == "":  # never the working directory
-            raise OSError("--out is empty")
+        if "out" in args:  # every command but gradcheck
+            _check_out(args)
         with np.errstate(all="ignore"):  # the explicit non-finite checks decide exit 4
             return args.func(args)
     except ConfigError as exc:

@@ -1,6 +1,6 @@
 """Exception types shared across the toolkit, the config field checks that
-both config dataclasses run, and the parser of every JSON document read from
-disk."""
+both config dataclasses run when they are built, and the parser of every
+JSON document read from disk."""
 
 import dataclasses
 import json

@@ -127,12 +127,10 @@ def _spec_from_header(header: dict) -> DatasetSpec:
     raw = _get(header, "spec", dict)
     if set(raw) != {f.name for f in dataclasses.fields(DatasetSpec)}:
         raise DataFormatError(f"spec keys {sorted(raw)} do not match DatasetSpec")
-    spec = DatasetSpec(**raw)
     try:
-        spec.validate()  # every field's JSON type too
+        return DatasetSpec(**raw)  # which checks every field's JSON type too
     except ConfigError as exc:
         raise DataFormatError(f"invalid spec: {exc}") from None
-    return spec
 
 
 def _check_codes(values: np.ndarray, limit: int, what: str) -> None:

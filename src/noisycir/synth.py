@@ -40,6 +40,8 @@ _MAX_FLOATS = np.iinfo(np.intp).max // 8  # float64s in the largest array NumPy 
 
 @dataclass(frozen=True)
 class DatasetSpec:
+    """A synthetic dataset's knobs, checked whenever a spec is built."""
+
     num_concepts: int = 16
     dim: int = 32
     text_tokens: int = 8
@@ -51,7 +53,7 @@ class DatasetSpec:
     noise_scale: float = 0.05
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_field_types(self)
         if min(self.num_concepts, self.dim, self.text_tokens,
                self.image_patches, self.num_triplets) < 1:
@@ -167,7 +169,6 @@ def _bundles(block: np.ndarray, rows: int, global_index: int, modality: str) -> 
 
 def make_concepts(spec: DatasetSpec) -> np.ndarray:
     """C unit-norm anchor vectors in R^d, seeded and pairwise distinct."""
-    spec.validate()
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0]))
     anchors = rng.standard_normal((spec.num_concepts, spec.dim))
     anchors /= np.linalg.norm(anchors, axis=1, keepdims=True)

@@ -44,6 +44,8 @@ _EPS = 1e-8     # Adam's denominator floor
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """A training run's knobs, checked whenever a config is built."""
+
     batch_size: int = 16
     epochs: int = 20
     lr: float = 1e-3
@@ -56,7 +58,7 @@ class TrainConfig:
     enable_nfb: bool = True
     eval_fraction: float = 0.2
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_field_types(self)
         if self.batch_size < 4:
             raise ConfigError("batch_size must be >= 4")
@@ -329,7 +331,6 @@ def train_epoch(store: ParamStore, optimizer: Adam, samples: Dataset,
 
 
 def run_training(samples: Dataset, config: TrainConfig) -> TrainResult:
-    config.validate()
     store = init_params(samples.spec.dim, config.seed)
     optimizer = Adam(store, config.lr)
     train_idx, eval_idx = split_dataset(samples, config)

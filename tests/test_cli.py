@@ -587,9 +587,16 @@ def test_report_on_malformed_run_files_exits_3_without_traceback(tmp_path, capsy
     ({"train": 5}, "'train' section must be a JSON object"),
     ({"train": []}, "'train' section must be a JSON object"),
     ({"dataset": None}, "'dataset' section must be a JSON object"),
+    # the keys of both sections are checked before either section's values
+    ({"dataset": {"dim": 2}, "train": {"nope": 1}},
+     "unknown key(s) in 'train' section: ['nope']"),
+    ({"dataset": {"nope": 1}, "train": {"batch_size": 3}},
+     "unknown key(s) in 'dataset' section: ['nope']"),
+    ({"dataset": {"dim": 2}, "train": 5}, "'train' section must be a JSON object"),
 ], ids=["root-list", "top-level", "train-key", "dataset-key", "adam_beta1", "adam_beta2",
         "adam_eps", "lr_wcb", "lr_other", "section-str", "section-int", "section-list",
-        "section-null"])
+        "section-null", "dataset-value-train-key", "dataset-key-train-value",
+        "dataset-value-train-not-object"])
 def test_config_outside_the_schema_exits_1_without_traceback(tmp_path, capsys, raw,
                                                             message):
     cfg = tmp_path / "config.json"
@@ -614,9 +621,11 @@ def test_config_outside_the_schema_exits_1_without_traceback(tmp_path, capsys, r
     ("ablate", ""),
     # report once read the working directory's run for ""
     ("report", ""),
+    ("report", "afile"),
 ], ids=["train-under-file", "ablate-under-file", "train-onto-file",
         "generate-no-dir", "generate-under-file", "generate-onto-dir",
-        "generate-empty", "train-empty", "ablate-empty", "report-empty"])
+        "generate-empty", "train-empty", "ablate-empty", "report-empty",
+        "report-onto-file"])
 def test_unusable_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
                                               config_path, command, out):
     def no_work(*args, **kwargs):
@@ -638,6 +647,33 @@ def test_unusable_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
     err = _assert_one_line_error(capsys, "i/o error: ").err
     assert f"--out {out}" in err and ".tmp-" not in err
     assert sorted(p.name for p in tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", ["generate", "train", "ablate"])
+def test_unusable_out_is_refused_before_the_config_is_read(tmp_path, capsys, command):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"train": {"lr_wcb": 1e-3}}))
+    (tmp_path / "afile").write_bytes(b"x")
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "afile" / "x")]
+    if command != "generate":
+        argv += ["--dataset", str(tmp_path / "missing.ncld")]
+    assert main(argv) == EXIT_IO
+    assert "--out " in _assert_one_line_error(capsys, "i/o error: ").err
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_negative_seed_is_refused_before_any_file_is_read(tmp_path, capsys, monkeypatch,
+                                                          config_path, command):
+    def no_read(*args, **kwargs):
+        raise AssertionError("the seed should have been refused first")
+
+    monkeypatch.setattr(cli, "read_dataset", no_read)
+    run = tmp_path / "run"
+    assert main([command, "--config", config_path, "--dataset", str(tmp_path / "missing.ncld"),
+                 "--out", str(run), "--seed", "-1"]) == EXIT_USAGE
+    assert _assert_one_line_error(capsys, "config error: ").err \
+        == "config error: seed must be a non-negative integer, got -1\n"
+    assert not run.exists()
 
 
 def _run_module(module, *args):

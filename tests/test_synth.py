@@ -203,34 +203,34 @@ class TestPackedDataset:
 class TestSpecValidation:
     def test_rates_must_sum_below_one(self):
         with pytest.raises(ConfigError):
-            DatasetSpec(mismatch_rate=0.7, partial_rate=0.5).validate()
+            DatasetSpec(mismatch_rate=0.7, partial_rate=0.5)
 
     def test_dim_floor(self):
         with pytest.raises(ConfigError):
-            DatasetSpec(dim=2).validate()
+            DatasetSpec(dim=2)
 
     def test_distractors_cannot_consume_all_patches(self):
         with pytest.raises(ConfigError):
-            DatasetSpec(distractor_fraction=0.99).validate()
+            DatasetSpec(distractor_fraction=0.99)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True])
     def test_seed_must_be_non_negative_int(self, seed):
         with pytest.raises(ConfigError):
-            DatasetSpec(seed=seed).validate()
+            DatasetSpec(seed=seed)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_noise_scale_must_be_finite(self, value):
         with pytest.raises(ConfigError):
-            DatasetSpec(noise_scale=value).validate()
+            DatasetSpec(noise_scale=value)
 
     def test_counts_stop_at_the_largest_array_numpy_can_index(self):
         limit = np.iinfo(np.intp).max // 8  # float64s
         spec = DatasetSpec()
         fits = limit // spec.record_size
-        DatasetSpec(num_triplets=fits).validate()
+        DatasetSpec(num_triplets=fits)
         with pytest.raises(ConfigError, match="too large"):
-            DatasetSpec(num_triplets=fits + 1).validate()
+            DatasetSpec(num_triplets=fits + 1)
         concepts = math.isqrt(limit)  # the concepts' Gram matrix is the largest array
-        DatasetSpec(num_concepts=concepts).validate()
+        DatasetSpec(num_concepts=concepts)
         with pytest.raises(ConfigError, match="too large"):
-            DatasetSpec(num_concepts=concepts + 1).validate()
+            DatasetSpec(num_concepts=concepts + 1)

@@ -43,10 +43,10 @@ class TestConfigValidation:
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
-            dataclasses.replace(TrainConfig(), **kwargs).validate()
+            dataclasses.replace(TrainConfig(), **kwargs)
 
     def test_defaults_valid(self):
-        TrainConfig().validate()
+        TrainConfig()
 
 
 @pytest.mark.parametrize("name, flags", [
